@@ -12,7 +12,7 @@ from billiard_books import (
     compile_general,
     compile_simple,
     dumps_book,
-    invert_book,
+    invert_gluings,
     leaf_count_bounds,
     verify_realization,
 )
@@ -40,7 +40,7 @@ print(f"\nrun game (two straight hits on C_2): {rep.leaf_count} leaves, "
       f"disk copies {sorted(len(v) for v in rep.disk_ids.values())}")
 print(f"verification: {verify_realization(rep, samples=25, seed=1) or 'ok'}")
 
-inv = invert_book(rep.book)
+inv = invert_gluings(rep.book)
 print("\ninverted book swaps every gluing cycle:")
 for g, gi in zip(rep.book.gluings, inv.gluings):
     print(f"  C_{g.ellipse}: {g.cycles()}  ->  {gi.cycles()}")

@@ -64,7 +64,6 @@ from .games import (
     compile_game,
     compile_general,
     compile_simple,
-    invert_book,
     leaf_count_bounds,
     normalize_game,
     validate_game,

@@ -220,7 +220,8 @@ def validate_book(book: BilliardBook) -> list[Violation]:
 
 
 def invert_gluings(book: BilliardBook) -> BilliardBook:
-    """Same leaves, every gluing permutation inverted."""
+    """Same leaves, every gluing permutation inverted.  The inverse of a book
+    compiled from a game realizes the reversed game."""
     return BilliardBook(book.family, book.leaves, tuple(g.inverse() for g in book.gluings))
 
 

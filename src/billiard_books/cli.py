@@ -1,7 +1,8 @@
 """Command-line front end: compile | simulate | fomenko | verify.
 
-Exit codes: 0 success, 2 invalid game, 3 I/O failure, 4 singular-level hit
-during simulation, 5 unclassified atom in the graph, 6 trace/game mismatch.
+Exit codes: 0 success, 2 invalid game, 3 I/O failure or invalid input (an
+invalid book or a bad argument), 4 singular-level hit during simulation,
+5 unclassified atom in the graph, 6 trace/game mismatch.
 Diagnostics go to stderr; stdout carries data summaries only.
 """
 
@@ -15,9 +16,10 @@ import sys
 import numpy as np
 
 from . import games as games_mod
-from .book import SchemaError, load_book, save_book, validate_book
+from .book import BilliardBook, SchemaError, load_book, save_book, validate_book
 from .conics import ConfocalFamily, directions_with_caustic
 from .dynamics import (
+    EscapedLeaf,
     PhaseState,
     STATUS_OK,
     save_trajectory_csv,
@@ -45,6 +47,25 @@ EXIT_UNKNOWN_ATOM = 5
 EXIT_MISMATCH = 6
 
 
+def _refuse(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_IO
+
+
+def _load_valid_book(path: str) -> BilliardBook | None:
+    """The book stored at ``path``, or None after reporting on stderr why it
+    cannot be used."""
+    try:
+        book = load_book(path)
+    except (OSError, SchemaError, ValueError) as err:
+        _refuse(err)
+        return None
+    bad = validate_book(book)
+    for v in bad:
+        print(f"{v.code}: {v.message}", file=sys.stderr)
+    return None if bad else book
+
+
 def _load_game(path: str) -> OrderedGame:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
@@ -70,8 +91,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     try:
         game = _load_game(args.game)
     except (OSError, json.JSONDecodeError, SchemaError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        return _refuse(err)
     violations = validate_game(game)
     if violations:
         for v in violations:
@@ -88,8 +108,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     try:
         save_book(report.book, args.out)
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        return _refuse(err)
     print(
         f"leaves={report.leaf_count} s={report.s_count} shift={report.shift} "
         f"start_leaf={report.start_leaf_id} out={args.out}"
@@ -118,33 +137,36 @@ def _sample_state(book, leaf_id: int, caustic: float, seed: int) -> PhaseState:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        book = load_book(args.book)
-    except (OSError, SchemaError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
-    bad = validate_book(book)
-    if bad:
-        for v in bad:
-            print(f"{v.code}: {v.message}", file=sys.stderr)
+    book = _load_valid_book(args.book)
+    if book is None:
         return EXIT_IO
     leaf_id = args.leaf if args.leaf is not None else min(lf.id for lf in book.leaves)
+    if all(lf.id != leaf_id for lf in book.leaves):
+        return _refuse(f"the book has no leaf {leaf_id}")
+    for name in ("events", "seed"):
+        if getattr(args, name) < 0:
+            return _refuse(f"--{name} must not be negative, got {getattr(args, name)}")
     if args.pos is not None and args.vel is not None:
         px, py = args.pos
         vx, vy = args.vel
         n = math.hypot(vx, vy)
+        if not all(math.isfinite(v) for v in (px, py, n)) or n == 0.0:
+            return _refuse("--pos and --vel need finite values and a non-zero velocity")
         state = PhaseState(px, py, vx / n, vy / n, leaf_id)
     elif args.caustic is not None:
+        if not math.isfinite(args.caustic):
+            return _refuse(f"--caustic must be finite, got {args.caustic}")
         try:
             state = _sample_state(book, leaf_id, args.caustic, args.seed)
         except GameError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_IO
+            return _refuse(err)
     else:
-        print("error: need either --pos/--vel or --caustic", file=sys.stderr)
-        return EXIT_IO
+        return _refuse("need either --pos/--vel or --caustic")
 
-    traj = simulate(book, state, max_events=args.events)
+    try:
+        traj = simulate(book, state, max_events=args.events)
+    except EscapedLeaf as err:
+        return _refuse(err)
     try:
         if args.csv:
             save_trajectory_csv(traj, args.csv)
@@ -152,8 +174,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             spec = RenderSpec(layout=args.layout, show_caustic=args.show_caustic)
             save_svg(trajectory_svg(book, traj, spec), args.svg)
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        return _refuse(err)
     print(f"caustic={traj.caustic!r} drift={traj.caustic_drift:.3e} events={len(traj.events)}")
     if traj.status != STATUS_OK:
         print(f"status: {traj.status}", file=sys.stderr)
@@ -162,10 +183,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fomenko(args: argparse.Namespace) -> int:
-    try:
-        book = load_book(args.book)
-    except (OSError, SchemaError) as err:
-        print(f"error: {err}", file=sys.stderr)
+    book = _load_valid_book(args.book)
+    if book is None:
         return EXIT_IO
     graph = build_fomenko_graph(book)
     try:
@@ -173,8 +192,7 @@ def cmd_fomenko(args: argparse.Namespace) -> int:
             with open(args.dot, "w", encoding="utf-8") as fh:
                 fh.write(to_dot(graph))
     except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        return _refuse(err)
     census = graph.census()
     print(" ".join(f"{t}:{census[t]}" for t in ("A", "B", "C2", "Unknown") if census[t]))
     if census["Unknown"]:
@@ -184,12 +202,21 @@ def cmd_fomenko(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    book = _load_valid_book(args.book)
+    if book is None:
+        return EXIT_IO
     try:
-        book = load_book(args.book)
         game = _load_game(args.game)
     except (OSError, json.JSONDecodeError, SchemaError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_IO
+        return _refuse(err)
+    start_leaf = args.start_leaf if args.start_leaf is not None else min(
+        lf.id for lf in book.leaves
+    )
+    if all(lf.id != start_leaf for lf in book.leaves):
+        return _refuse(f"the book has no leaf {start_leaf}")
+    for name in ("samples", "seed"):
+        if getattr(args, name) < 0:
+            return _refuse(f"--{name} must not be negative, got {getattr(args, name)}")
     violations = validate_game(game)
     if violations:
         for v in violations:
@@ -205,9 +232,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = norm.n
     (e_lo, e_hi), (h_lo, h_hi) = games_mod.admissible_caustic_range(norm)
     rng = np.random.default_rng(args.seed)
-    start_leaf = args.start_leaf if args.start_leaf is not None else min(
-        lf.id for lf in book.leaves
-    )
     need = 5 * n
     for i in range(args.samples):
         if i % 2 == 0:

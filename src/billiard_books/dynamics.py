@@ -119,6 +119,26 @@ def _coeffs(fam, e: float, state: PhaseState):
     return ray_conic_coefficients(fam, e, state.x, state.y, state.vx, state.vy)
 
 
+def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, EventSide, int]:
+    """The rule a particle on ``leaf_id`` meets at one of its boundary
+    ellipses: (rule, event side, leaf after).
+
+    R1 when the ellipse is unglued there or the gluing fixes the leaf, R2
+    when the image leaf sits on the same side of the ellipse, R3 (a
+    pass-through) when it sits on the opposite side.  This is the only
+    place a gluing is read to decide the rule.
+    """
+    side_here = boundary_side(book.leaf(leaf_id), ellipse)
+    side = EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE
+    gluing = book.gluing_for(ellipse)
+    image = leaf_id if gluing is None else gluing.image(leaf_id)
+    if image == leaf_id:
+        return Rule.R1, side, leaf_id
+    if boundary_side(book.leaf(image), ellipse) is side_here:
+        return Rule.R2, side, image
+    return Rule.R3, EventSide.PASS_THROUGH, image
+
+
 def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryEvent]:
     """Advance to the nearest boundary of the current leaf and apply the
     transition rule there.
@@ -158,23 +178,12 @@ def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryE
         raise TangentialHit(e, hx, hy, t)
     hx, hy = project_to_conic(fam, e, hx, hy)
 
-    gluing = book.gluing_for(e)
-    side_here = boundary_side(leaf, e)
-    event_side = EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE
-    if gluing is None or gluing.image(leaf.id) == leaf.id:
-        rule = Rule.R1
-        leaf_after = leaf.id
-        vx, vy = reflect(fam, e, hx, hy, state.vx, state.vy)
+    rule, event_side, leaf_after = transition(book, leaf.id, e)
+    if rule is Rule.R3:
+        n = math.hypot(state.vx, state.vy)
+        vx, vy = state.vx / n, state.vy / n
     else:
-        leaf_after = gluing.image(leaf.id)
-        if boundary_side(book.leaf(leaf_after), e) is side_here:
-            rule = Rule.R2
-            vx, vy = reflect(fam, e, hx, hy, state.vx, state.vy)
-        else:
-            rule = Rule.R3
-            event_side = EventSide.PASS_THROUGH
-            n = math.hypot(state.vx, state.vy)
-            vx, vy = state.vx / n, state.vy / n
+        vx, vy = reflect(fam, e, hx, hy, state.vx, state.vy)
     event = TrajectoryEvent(hx, hy, e, event_side, rule, leaf.id, leaf_after, vx, vy)
     return PhaseState(hx, hy, vx, vy, leaf_after), event
 

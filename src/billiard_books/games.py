@@ -20,7 +20,6 @@ from .book import (
     BilliardBook,
     GluingPermutation,
     Leaf,
-    invert_gluings,
 )
 from .conics import ConfocalFamily, directions_with_caustic
 from .dynamics import PhaseState, TangentialHit, simulate, step, trace_to_game
@@ -293,11 +292,6 @@ def leaf_count_bounds(game: OrderedGame) -> tuple[int, int, int]:
         and game.betas[k] > game.betas[(k + 1) % n]
     )
     return 2 * n - 2 * s, 2 * n, s
-
-
-def invert_book(book: BilliardBook) -> BilliardBook:
-    """Same leaves, inverse gluing permutations; realizes the reversed game."""
-    return invert_gluings(book)
 
 
 def admissible_caustic_range(game: OrderedGame) -> tuple[tuple[float, float], ...]:

@@ -16,12 +16,12 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import permutations, product
 
 from .book import BilliardBook, Side, boundary_side, glued_return_leaf
 from .conics import directions_with_caustic, inward_normal, winding_sign
-from .dynamics import EventSide, PhaseState, Rule, TangentialHit, step
+from .dynamics import EventSide, PhaseState, Rule, TangentialHit, step, transition
 
 log = logging.getLogger(__name__)
 
@@ -54,19 +54,6 @@ class NoInnerLeaf(TopologyError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Transition:
-    """A reflection class: ellipse, side it is hit from, and leaf change."""
-
-    ellipse: float
-    side: EventSide
-    leaf_before: int
-    leaf_after: int
-
-    def key(self) -> tuple:
-        return (self.ellipse, self.side.value, self.leaf_before, self.leaf_after)
-
-
-@dataclass(frozen=True)
 class RegimeState:
     """One entry of a regime's event cycle.  ``sign`` is the winding
     direction (elliptic caustic) or the half-plane of the reflection point
@@ -91,7 +78,7 @@ class RegimeDescriptor:
     states: tuple[RegimeState, ...]
     orientation: int
     witness: PhaseState = field(compare=False, repr=False, default=None)
-    reflection_states: tuple[tuple[Transition, int], ...] = field(
+    reflection_states: tuple[RegimeState, ...] = field(
         compare=False, repr=False, default=()
     )
 
@@ -114,40 +101,32 @@ def _level_tolerance(book: BilliardBook) -> float:
     return 1e-9 * book.family.a
 
 
-def _reflection_transitions(book: BilliardBook, lam: float) -> list[Transition]:
-    """Reflection classes that can occur at caustic lam.  An elliptic caustic
-    reaches an ellipse only when it lies strictly inside it."""
+def _reflection_states(book: BilliardBook, lam: float) -> list[RegimeState]:
+    """Reflection states, both signs of each reflection class, that can
+    occur at caustic lam.  An elliptic caustic reaches an ellipse only when
+    it lies strictly inside it."""
     hyper = lam > book.family.b
-    out: list[Transition] = []
+    out: list[RegimeState] = []
     for e in book.boundary_values():
         if not hyper and lam <= e:
             continue
-        g = book.gluing_for(e)
         for lid in sorted(book.leaf_ids_on_ellipse(e)):
-            image = g.image(lid) if g is not None else lid
-            side_here = boundary_side(book.leaf(lid), e)
-            ev_side = (
-                EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE
-            )
-            if image == lid:
-                out.append(Transition(e, ev_side, lid, lid))
-            elif boundary_side(book.leaf(image), e) is side_here:
-                out.append(Transition(e, ev_side, lid, image))
+            rule, side, after = transition(book, lid, e)
+            if rule is not Rule.R3:
+                out.extend(RegimeState(e, side, lid, after, sign) for sign in (1, -1))
     return out
 
 
-def _witness_state(
-    book: BilliardBook, lam: float, trans: Transition, sign: int
-) -> PhaseState | None:
-    """Phase point realizing a post-reflection state of the given class, or
-    None when no sampled boundary point admits one."""
+def _witness_state(book: BilliardBook, lam: float, state: RegimeState) -> PhaseState | None:
+    """Phase point realizing a post-reflection state, or None when no
+    sampled boundary point admits one."""
     fam = book.family
     hyper = lam > fam.b
-    e = trans.ellipse
-    want_inward = trans.side is EventSide.FROM_INSIDE
+    e = state.ellipse
+    want_inward = state.side is EventSide.FROM_INSIDE
     if hyper:
         x_cap = 0.92 * min(math.sqrt(fam.a - lam), math.sqrt(fam.a - e))
-        samples = [(u * x_cap, sign) for u in _WITNESS_FRACTIONS]
+        samples = [(u * x_cap, state.sign) for u in _WITNESS_FRACTIONS]
     else:
         samples = None
     points: list[tuple[float, float]] = []
@@ -167,9 +146,9 @@ def _witness_state(
                 continue
             if (d > 0.0) is not want_inward:
                 continue
-            if not hyper and winding_sign(px, py, vx, vy) != sign:
+            if not hyper and winding_sign(px, py, vx, vy) != state.sign:
                 continue
-            return PhaseState(px, py, vx, vy, trans.leaf_after)
+            return PhaseState(px, py, vx, vy, state.leaf_after)
     return None
 
 
@@ -181,7 +160,7 @@ def _state_sign(book: BilliardBook, lam: float, state: PhaseState) -> int:
 
 def _transfer(
     book: BilliardBook, lam: float, state: PhaseState
-) -> tuple[tuple[Transition, int], list[RegimeState], PhaseState]:
+) -> tuple[RegimeState, list[RegimeState], PhaseState]:
     """Advance a post-reflection witness to its next reflection, collecting
     the crossings passed on the way."""
     crossings: list[RegimeState] = []
@@ -193,8 +172,8 @@ def _transfer(
                 RegimeState(ev.ellipse, EventSide.PASS_THROUGH, ev.leaf_before, ev.leaf_after, 0)
             )
             continue
-        trans = Transition(ev.ellipse, ev.side, ev.leaf_before, ev.leaf_after)
-        return (trans, _state_sign(book, lam, cur)), crossings, cur
+        sign = _state_sign(book, lam, cur)
+        return RegimeState(ev.ellipse, ev.side, ev.leaf_before, ev.leaf_after, sign), crossings, cur
     raise TopologyError("no reflection reached within 200 events")  # pragma: no cover
 
 
@@ -215,24 +194,16 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
     below = max(lv for lv in levels if lv < lam)
     above = min(lv for lv in levels if lv > lam)
 
-    seeds: list[tuple[Transition, int]] = []
-    for trans in _reflection_transitions(book, lam):
-        for sign in (1, -1):
-            seeds.append((trans, sign))
-
     transfer_memo: dict[tuple, tuple] = {}
     witness_of: dict[tuple, PhaseState] = {}
 
-    def state_key(st: tuple[Transition, int]) -> tuple:
-        return (st[0].key(), st[1])
-
-    def do_transfer(st: tuple[Transition, int]) -> tuple | None:
-        k = state_key(st)
+    def do_transfer(st: RegimeState) -> tuple | None:
+        k = st.key()
         if k in transfer_memo:
             return transfer_memo[k]
         w = witness_of.get(k)
         if w is None:
-            w = _witness_state(book, lam, st[0], st[1])
+            w = _witness_state(book, lam, st)
             if w is None:
                 return None
             witness_of[k] = w
@@ -240,23 +211,23 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
             nxt, crossings, nw = _transfer(book, lam, w)
         except TangentialHit:  # pragma: no cover - lam is mid-interval
             return None
-        witness_of.setdefault(state_key(nxt), nw)
+        witness_of.setdefault(nxt.key(), nw)
         transfer_memo[k] = (nxt, crossings)
         return transfer_memo[k]
 
     assigned: set[tuple] = set()
     regimes: list[RegimeDescriptor] = []
-    for seed in seeds:
-        if state_key(seed) in assigned:
+    for seed in _reflection_states(book, lam):
+        if seed.key() in assigned:
             continue
         if do_transfer(seed) is None:
             continue
-        path: list[tuple[Transition, int]] = []
+        path: list[RegimeState] = []
         path_pos: dict[tuple, int] = {}
         path_cross: list[list[RegimeState]] = []
         cur = seed
         while True:
-            k = state_key(cur)
+            k = cur.key()
             if k in assigned:
                 break  # merged into an already-built regime
             if k in path_pos:
@@ -267,7 +238,7 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
                     _build_regime(book, lam, (below, above), cycle, crossings, witness_of)
                 )
                 for st in cycle:
-                    assigned.add(state_key(st))
+                    assigned.add(st.key())
                 break
             step_result = do_transfer(cur)
             if step_result is None:
@@ -285,7 +256,7 @@ def _build_regime(
     book: BilliardBook,
     lam: float,
     interval: tuple[float, float],
-    cycle: list[tuple[Transition, int]],
+    cycle: list[RegimeState],
     crossings: list[list[RegimeState]],
     witness_of: dict[tuple, PhaseState],
 ) -> RegimeDescriptor:
@@ -294,10 +265,7 @@ def _build_regime(
         out: list[RegimeState] = []
         m = len(cycle)
         for i in range(m):
-            trans, sign = cycle[(start + i) % m]
-            out.append(
-                RegimeState(trans.ellipse, trans.side, trans.leaf_before, trans.leaf_after, sign)
-            )
+            out.append(cycle[(start + i) % m])
             out.extend(crossings[(start + i) % m])
         return out
 
@@ -305,13 +273,12 @@ def _build_regime(
     states = tuple(rotation(best_i))
     rolled = cycle[best_i:] + cycle[:best_i]
     # the common winding sign below b; the canonical half-plane label above it
-    orientation = rolled[0][1]
-    first_key = (rolled[0][0].key(), rolled[0][1])
+    orientation = rolled[0].sign
     return RegimeDescriptor(
         caustic_interval=interval,
         states=states,
         orientation=orientation,
-        witness=witness_of[first_key],
+        witness=witness_of[rolled[0].key()],
         reflection_states=tuple(rolled),
     )
 
@@ -453,21 +420,13 @@ def axis_bounce_circles(book: BilliardBook, axis: str) -> list[CriticalCircle]:
         lid, lo, hi, e_lo, e_hi = segments[seg_idx]
         coord = hi if direction > 0 else lo
         e = e_hi if direction > 0 else e_lo
-        g = book.gluing_for(e)
-        image = g.image(lid) if g is not None else lid
-        side_here = boundary_side(book.leaf(lid), e)
-        if image == lid or boundary_side(book.leaf(image), e) is side_here:
-            new_dir = -direction  # reflection at the vertex reverses the slide
-            refl = (
-                e,
-                (EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE).value,
-                lid,
-                image,
-                1 if coord > 0 else -1,
-            )
-        else:
+        rule, side, image = transition(book, lid, e)
+        if rule is Rule.R3:
             new_dir = direction
             refl = None
+        else:
+            new_dir = -direction  # reflection at the vertex reverses the slide
+            refl = (e, side.value, lid, image, 1 if coord > 0 else -1)
         return segment_from(image, coord, new_dir), new_dir, refl
 
     states = [(i, d) for i in range(len(segments)) for d in (1, -1)]
@@ -552,9 +511,9 @@ def _continue_regime(
     """Index of the regime continuing this one past a regular level, located
     by re-aiming the stored witness at the new caustic value."""
     fam = book.family
-    trans, _ = regime.reflection_states[0]
+    first = regime.reflection_states[0]
     w = regime.witness
-    nx, ny = inward_normal(fam, trans.ellipse, w.x, w.y)
+    nx, ny = inward_normal(fam, first.ellipse, w.x, w.y)
     d0 = w.vx * nx + w.vy * ny
     best = None
     best_dot = -2.0
@@ -575,7 +534,7 @@ def _continue_regime(
         if lam_target < fam.b
         else (1 if w.y >= 0.0 else -1)
     )
-    return above_index.get((trans.key(), sign))
+    return above_index.get(replace(first, sign=sign).key())
 
 
 def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
@@ -625,9 +584,7 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
         e = levels[k]
         if not _level_inconsistent(book, e):
             above_index = {
-                (t.key(), s): idx
-                for idx, r in enumerate(regs[k])
-                for t, s in r.reflection_states
+                st.key(): idx for idx, r in enumerate(regs[k]) for st in r.reflection_states
             }
             used: set[int] = set()
             new_open: list[_Chain] = []

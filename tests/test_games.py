@@ -11,7 +11,7 @@ from billiard_books import (
     admissible_start,
     compile_general,
     compile_simple,
-    invert_book,
+    invert_gluings,
     leaf_count_bounds,
     normalize_game,
     simulate,
@@ -210,14 +210,14 @@ def test_realization_random_games(family):
 
 def test_invert_book_roundtrip(family):
     rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, 1)))
-    assert invert_book(invert_book(rep.book)) == rep.book
+    assert invert_gluings(invert_gluings(rep.book)) == rep.book
 
 
 def test_inverted_book_realizes_reversed_game(family):
     from dataclasses import replace
 
     rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, 1)))
-    inv = invert_book(rep.book)
+    inv = invert_gluings(rep.book)
     rev = game(family, (0.0, 3.5, 2.0), (1, 1, 1))
     # on the inverted book the reversed game starts from the annulus between
     # the first ellipse and the reversed game's last one

@@ -185,6 +185,40 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
     assert dot.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, complaint",
+    [
+        (["simulate", "BOOK", "--leaf", "99", "--caustic", "6.0"], "error: "),
+        (["simulate", "BOOK", "--leaf", "1", "--pos=50,50", "--vel", "1,0"], "error: "),
+        (["simulate", "BOOK", "--leaf", "1", "--pos=2.8,0.3", "--vel", "0,0"], "error: "),
+        (["simulate", "BOOK", "--caustic", "nan"], "error: "),
+        (["simulate", "BOOK", "--caustic", "6.0", "--events", "-5"], "error: "),
+        (["simulate", "BOOK", "--caustic", "6.0", "--seed", "-1"], "error: "),
+        (["verify", "BOOK", "GAME", "--samples", "-3"], "error: "),
+        (["verify", "BOOK", "GAME", "--seed", "-1"], "error: "),
+        (["verify", "BOOK", "GAME", "--start-leaf", "99"], "error: "),
+        (["fomenko", "INVALID"], "BadDomain: "),
+    ],
+    ids=["no-leaf", "pos-outside", "zero-vel", "nan-caustic", "negative-events",
+         "negative-seed", "negative-samples", "verify-negative-seed", "no-start-leaf",
+         "invalid-book"],
+)
+def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, complaint):
+    files = {
+        "BOOK": tmp_path / "book.json",
+        "GAME": tmp_path / "game.json",
+        "INVALID": tmp_path / "invalid.json",
+    }
+    files["BOOK"].write_text(dumps_book(books["annulus_two_disks"]))
+    write_game(files["GAME"], (0.0, 2.0), (1, 1))
+    invalid = make_book(ConfocalFamily(9.0, 4.0), [disk(1, 2.0)], [(2.0, [[1, 99]])])
+    files["INVALID"].write_text(dumps_book(invalid))
+    assert main([str(files.get(arg, arg)) for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert complaint in captured.err
+    assert captured.out == ""
+
+
 def test_cli_outputs_deterministic(tmp_path, capsys):
     game = write_game(tmp_path / "game.json", (0.0, 2.0, 3.5), (1, 1, 1))
     b1, b2 = str(tmp_path / "b1.json"), str(tmp_path / "b2.json")

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from billiard_books import (
@@ -8,6 +9,7 @@ from billiard_books import (
     axis_bounce_circles,
     build_fomenko_graph,
     classify_singular_level,
+    compile_simple,
     critical_levels,
     disk,
     enumerate_regimes,
@@ -27,6 +29,7 @@ from _refs import (
     ref_graph_chain_six,
     ref_graph_two_annuli_two_disks,
 )
+from test_games import random_valid_game
 
 
 def test_critical_levels(books, family):
@@ -61,9 +64,15 @@ def test_regimes_locally_constant(books):
         assert keys1 == keys2
 
 
-def test_witness_reproduces_cycle(books):
-    for name in ("annulus_two_disks", "two_annuli_two_disks", "chain_six"):
-        book = books[name]
+def test_witness_reproduces_cycle(books, family):
+    # compiled books check that step and the regime enumeration agree
+    # beyond the catalog
+    rng = np.random.default_rng(0)
+    games = [random_valid_game(family, rng, int(rng.integers(2, 7))) for _ in range(12)]
+    catalog = ("annulus_two_disks", "two_annuli_two_disks", "chain_six")
+    named = [(name, books[name]) for name in catalog]
+    named += [(g.betas, compile_simple(g).book) for g in games]
+    for name, book in named:
         levels = critical_levels(book)
         for i in range(len(levels) - 1):
             mid = (levels[i] + levels[i + 1]) / 2
