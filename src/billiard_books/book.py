@@ -10,6 +10,7 @@ handling deterministic.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
@@ -184,7 +185,9 @@ def validate_book(book: BilliardBook) -> list[Violation]:
         if lf.id in seen_ids:
             out.append(Violation("DuplicateId", f"leaf id {lf.id} repeated"))
         seen_ids.add(lf.id)
-        if lf.is_disk:
+        if not all(math.isfinite(p) for p in lf.boundary_params()):
+            out.append(Violation("NotFinite", f"leaf {lf.id}: non-finite {lf.boundary_params()}"))
+        elif lf.is_disk:
             if not lf.outer < b:
                 out.append(
                     Violation("BadLeafOrder", f"leaf {lf.id}: disk parameter {lf.outer} >= b={b}")

@@ -1,9 +1,11 @@
 """Command-line front end: compile | simulate | fomenko | verify.
 
 Exit codes: 0 success, 2 invalid game, 3 I/O failure or invalid input (an
-invalid book or a bad argument), 4 singular-level hit during simulation,
-5 unclassified atom in the graph, 6 trace/game mismatch.
-Diagnostics go to stderr; stdout carries data summaries only.
+invalid book or a bad argument, including any the parser refuses), 4 singular
+level hit during simulation, 5 unclassified atom in the graph, 6 trace/game
+mismatch.  Diagnostics go to stderr; stdout carries data summaries only.
+``main`` returns the code (it exits only after --help); its table ``_ERRORS``
+sets the code and the message of each exception type a command raises.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import sys
 import numpy as np
 
 from . import games as games_mod
-from .book import BilliardBook, SchemaError, load_book, save_book, validate_book
+from .book import BilliardBook, BookError, SchemaError, load_book, save_book, validate_book
 from .conics import ConfocalFamily, directions_with_caustic
 from .dynamics import (
-    EscapedLeaf,
+    DynamicsError,
     PhaseState,
     STATUS_OK,
     save_trajectory_csv,
@@ -37,7 +39,7 @@ from .games import (
     validate_game,
 )
 from .render import RenderSpec, save_svg, trajectory_svg
-from .topology import build_fomenko_graph, to_dot
+from .topology import TopologyError, build_fomenko_graph, to_dot
 
 EXIT_OK = 0
 EXIT_INVALID_GAME = 2
@@ -47,68 +49,53 @@ EXIT_UNKNOWN_ATOM = 5
 EXIT_MISMATCH = 6
 
 
-def _refuse(message: object) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_IO
-
-
-def _load_valid_book(path: str) -> BilliardBook | None:
-    """The book stored at ``path``, or None after reporting on stderr why it
-    cannot be used."""
-    try:
-        book = load_book(path)
-    except (OSError, SchemaError, ValueError) as err:
-        _refuse(err)
-        return None
+def _load_valid_book(path: str) -> BilliardBook:
+    """The book stored at ``path``; raises BookError listing its violations."""
+    book = load_book(path)
     bad = validate_book(book)
-    for v in bad:
-        print(f"{v.code}: {v.message}", file=sys.stderr)
-    return None if bad else book
+    if bad:
+        raise BookError("\n".join(f"{v.code}: {v.message}" for v in bad))
+    return book
 
 
-def _load_game(path: str) -> OrderedGame:
+def _leaf_or_smallest(book: BilliardBook, leaf_id: int | None) -> int:
+    if leaf_id is None:
+        return min(lf.id for lf in book.leaves)
+    if all(lf.id != leaf_id for lf in book.leaves):
+        raise BookError(f"the book has no leaf {leaf_id}")
+    return leaf_id
+
+
+def _load_valid_game(path: str) -> OrderedGame:
+    """The game stored at ``path``; raises InvalidGame listing its violations."""
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise SchemaError("$: expected an object")
     fam = data.get("family")
-    if not isinstance(fam, dict) or "a" not in fam or "b" not in fam:
-        raise SchemaError("$.family: expected {a, b}")
+    if not isinstance(fam, dict) or not all(isinstance(fam.get(k), (int, float)) for k in "ab"):
+        raise SchemaError("$.family: expected {a, b} numbers")
     betas = data.get("betas")
     sig = data.get("signature")
     if not isinstance(betas, list) or not all(isinstance(x, (int, float)) for x in betas):
         raise SchemaError("$.betas: expected an array of numbers")
     if not isinstance(sig, list) or not all(s in (1, -1) for s in sig):
         raise SchemaError("$.signature: expected an array of 1/-1")
-    return OrderedGame(
+    game = OrderedGame(
         ConfocalFamily(float(fam["a"]), float(fam["b"])),
         tuple(float(x) for x in betas),
         tuple(int(s) for s in sig),
     )
+    violations = validate_game(game)
+    if violations:
+        raise InvalidGame(violations)
+    return game
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    try:
-        game = _load_game(args.game)
-    except (OSError, json.JSONDecodeError, SchemaError, ValueError) as err:
-        return _refuse(err)
-    violations = validate_game(game)
-    if violations:
-        for v in violations:
-            print(f"{v.code}: {v.message}", file=sys.stderr)
-        return EXIT_INVALID_GAME
-    try:
-        report = compile_general(game) if args.general else compile_simple(game)
-    except ConsecutiveRepeat as err:
-        print(f"ConsecutiveRepeat: {err} (rerun with --general)", file=sys.stderr)
-        return EXIT_INVALID_GAME
-    except (InvalidGame, GameError) as err:
-        print(f"InvalidGame: {err}", file=sys.stderr)
-        return EXIT_INVALID_GAME
-    try:
-        save_book(report.book, args.out)
-    except OSError as err:
-        return _refuse(err)
+    game = _load_valid_game(args.game)
+    report = compile_general(game) if args.general else compile_simple(game)
+    save_book(report.book, args.out)
     print(
         f"leaves={report.leaf_count} s={report.s_count} shift={report.shift} "
         f"start_leaf={report.start_leaf_id} out={args.out}"
@@ -133,48 +120,30 @@ def _sample_state(book, leaf_id: int, caustic: float, seed: int) -> PhaseState:
         dirs = directions_with_caustic(fam, px, py, caustic)
         if dirs:
             return PhaseState(px, py, dirs[0][0], dirs[0][1], leaf_id)
-    raise GameError(f"no point on leaf {leaf_id} admits caustic {caustic}")
+    raise ValueError(f"no point on leaf {leaf_id} admits caustic {caustic}")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     book = _load_valid_book(args.book)
-    if book is None:
-        return EXIT_IO
-    leaf_id = args.leaf if args.leaf is not None else min(lf.id for lf in book.leaves)
-    if all(lf.id != leaf_id for lf in book.leaves):
-        return _refuse(f"the book has no leaf {leaf_id}")
-    for name in ("events", "seed"):
-        if getattr(args, name) < 0:
-            return _refuse(f"--{name} must not be negative, got {getattr(args, name)}")
+    leaf_id = _leaf_or_smallest(book, args.leaf)
     if args.pos is not None and args.vel is not None:
         px, py = args.pos
         vx, vy = args.vel
         n = math.hypot(vx, vy)
-        if not all(math.isfinite(v) for v in (px, py, n)) or n == 0.0:
-            return _refuse("--pos and --vel need finite values and a non-zero velocity")
+        if not 0.0 < n < math.inf:
+            raise ValueError("--vel must be a non-zero velocity")
         state = PhaseState(px, py, vx / n, vy / n, leaf_id)
     elif args.caustic is not None:
-        if not math.isfinite(args.caustic):
-            return _refuse(f"--caustic must be finite, got {args.caustic}")
-        try:
-            state = _sample_state(book, leaf_id, args.caustic, args.seed)
-        except GameError as err:
-            return _refuse(err)
+        state = _sample_state(book, leaf_id, args.caustic, args.seed)
     else:
-        return _refuse("need either --pos/--vel or --caustic")
+        raise ValueError("need either --pos/--vel or --caustic")
 
-    try:
-        traj = simulate(book, state, max_events=args.events)
-    except EscapedLeaf as err:
-        return _refuse(err)
-    try:
-        if args.csv:
-            save_trajectory_csv(traj, args.csv)
-        if args.svg:
-            spec = RenderSpec(layout=args.layout, show_caustic=args.show_caustic)
-            save_svg(trajectory_svg(book, traj, spec), args.svg)
-    except OSError as err:
-        return _refuse(err)
+    traj = simulate(book, state, max_events=args.events)
+    if args.csv:
+        save_trajectory_csv(traj, args.csv)
+    if args.svg:
+        spec = RenderSpec(layout=args.layout, show_caustic=args.show_caustic)
+        save_svg(trajectory_svg(book, traj, spec), args.svg)
     print(f"caustic={traj.caustic!r} drift={traj.caustic_drift:.3e} events={len(traj.events)}")
     if traj.status != STATUS_OK:
         print(f"status: {traj.status}", file=sys.stderr)
@@ -183,16 +152,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fomenko(args: argparse.Namespace) -> int:
-    book = _load_valid_book(args.book)
-    if book is None:
-        return EXIT_IO
-    graph = build_fomenko_graph(book)
-    try:
-        if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as fh:
-                fh.write(to_dot(graph))
-    except OSError as err:
-        return _refuse(err)
+    graph = build_fomenko_graph(_load_valid_book(args.book))
+    if args.dot:
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            fh.write(to_dot(graph))
     census = graph.census()
     print(" ".join(f"{t}:{census[t]}" for t in ("A", "B", "C2", "Unknown") if census[t]))
     if census["Unknown"]:
@@ -203,25 +166,10 @@ def cmd_fomenko(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     book = _load_valid_book(args.book)
-    if book is None:
-        return EXIT_IO
-    try:
-        game = _load_game(args.game)
-    except (OSError, json.JSONDecodeError, SchemaError, ValueError) as err:
-        return _refuse(err)
-    start_leaf = args.start_leaf if args.start_leaf is not None else min(
-        lf.id for lf in book.leaves
-    )
-    if all(lf.id != start_leaf for lf in book.leaves):
-        return _refuse(f"the book has no leaf {start_leaf}")
-    for name in ("samples", "seed"):
-        if getattr(args, name) < 0:
-            return _refuse(f"--{name} must not be negative, got {getattr(args, name)}")
-    violations = validate_game(game)
-    if violations:
-        for v in violations:
-            print(f"{v.code}: {v.message}", file=sys.stderr)
-        return EXIT_INVALID_GAME
+    game = _load_valid_game(args.game)
+    start_leaf = _leaf_or_smallest(book, args.start_leaf)
+    if game.family != book.family:
+        raise ValueError(f"the game's family {game.family} is not the book's {book.family}")
     if args.samples == 0:
         print("warning: zero samples requested; verification is vacuous", file=sys.stderr)
         print("samples=0 mismatches=0")
@@ -271,15 +219,35 @@ def _first_event(book, state):
         return None, None
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_pair(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError("expected 'x,y'")
-    return float(parts[0]), float(parts[1])
+    return _finite(parts[0]), _finite(parts[1])
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # for main to report; the parent parser would report an ArgumentError again
+        raise argparse.ArgumentTypeError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="billiard-books", description=__doc__)
+    ap = _Parser(prog="billiard-books", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("compile", help="compile a game description into a book")
@@ -293,9 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaf", type=int, help="starting leaf id (default: smallest)")
     p.add_argument("--pos", type=_parse_pair, help="starting position 'x,y'")
     p.add_argument("--vel", type=_parse_pair, help="starting velocity 'vx,vy'")
-    p.add_argument("--caustic", type=float, help="sample a start tangent to this caustic")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--events", type=int, default=1000)
+    p.add_argument("--caustic", type=_finite, help="sample a start tangent to this caustic")
+    p.add_argument("--seed", type=_count, default=0)
+    p.add_argument("--events", type=_count, default=1000)
     p.add_argument("--csv", help="write the event table here")
     p.add_argument("--svg", help="write a rendering here")
     p.add_argument("--layout", choices=("side-by-side", "overlay"), default="side-by-side")
@@ -310,16 +278,33 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check that a book realizes a game")
     p.add_argument("book", help="book JSON file")
     p.add_argument("game", help="game JSON file")
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_count, default=20)
+    p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--start-leaf", type=int, help="leaf holding admissible starts (default: smallest id)")
     p.set_defaults(func=cmd_verify)
     return ap
 
 
+# Exit code and stderr line per exception type; the first matching row wins, so
+# a subclass goes first.  Any other exception is a fault and keeps its traceback.
+_ERRORS = (
+    (argparse.ArgumentTypeError, EXIT_IO, "{err}"),
+    (ConsecutiveRepeat, EXIT_INVALID_GAME, "{name}: {err} (rerun with --general)"),
+    (GameError, EXIT_INVALID_GAME, "{name}: {err}"),
+    ((OSError, BookError, DynamicsError, TopologyError, ValueError), EXIT_IO, "error: {err}"),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except Exception as err:
+        for types, code, fmt in _ERRORS:
+            if isinstance(err, types):
+                print(fmt.format(err=err, name=type(err).__name__), file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -54,8 +54,8 @@ class ConfocalFamily:
     b: float
 
     def __post_init__(self) -> None:
-        if not (self.a > self.b > 0.0):
-            raise ValueError(f"require a > b > 0, got a={self.a}, b={self.b}")
+        if not (math.isfinite(self.a) and self.a > self.b > 0.0):
+            raise ValueError(f"require finite a > b > 0, got a={self.a}, b={self.b}")
 
     @property
     def focal_half_distance(self) -> float:

@@ -34,7 +34,7 @@ class GameError(Exception):
 
 class InvalidGame(GameError):
     def __init__(self, violations):
-        super().__init__("; ".join(v.message for v in violations) or "invalid game")
+        super().__init__("; ".join(f"{v.code}: {v.message}" for v in violations) or "invalid game")
         self.violations = violations
 
 
@@ -89,11 +89,11 @@ def validate_game(game: OrderedGame) -> list[GameViolation]:
     for k, (beta, sig) in enumerate(zip(game.betas, game.signature)):
         if sig not in (-1, 1):
             out.append(GameViolation("BadSignature", f"signature[{k}] = {sig}", k))
-        if not beta < game.family.b:
+        if not (math.isfinite(beta) and beta < game.family.b):
             out.append(
                 GameViolation(
                     "BetaOutOfRange",
-                    f"betas[{k}] = {beta} is not an ellipse (needs < b = {game.family.b})",
+                    f"betas[{k}] = {beta} is not an ellipse (needs finite < b = {game.family.b})",
                     k,
                 )
             )

@@ -548,6 +548,10 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
     """
     fam = book.family
     levels = critical_levels(book)
+    tol = _level_tolerance(book)
+    for lo, hi in zip(levels, levels[1:]):  # each band's midpoint must be a regular level
+        if hi - lo < 2.0 * tol:
+            raise CriticalLambda(f"critical levels {lo!r} and {hi!r} are too close to separate")
     m = len(levels)
     mids = [(levels[i] + levels[i + 1]) / 2.0 for i in range(m - 1)]
     regs = [enumerate_regimes(book, mid) for mid in mids]

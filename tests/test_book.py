@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from billiard_books import (
@@ -42,6 +44,14 @@ def test_bad_leaf_order(family):
     assert codes(validate_book(book)) == ["BadLeafOrder"]
     book = BilliardBook(family, (disk(1, 5.0),))
     assert codes(validate_book(book)) == ["BadLeafOrder"]
+
+
+def test_non_finite_leaf(family):
+    book = BilliardBook(family, (disk(1, -math.inf), annulus(2, -math.inf, 2.0)))
+    assert codes(validate_book(book)) == ["NotFinite", "NotFinite"]
+    # -Infinity is valid JSON to Python's json module
+    text = '{"family": {"a": 9.0, "b": 4.0}, "leaves": [{"id": 1, "disk": -Infinity}]}'
+    assert codes(validate_book(loads_book(text))) == ["NotFinite"]
 
 
 def test_duplicate_id_and_nonbijective(family):
@@ -108,6 +118,8 @@ def test_schema_rejects_overlapping_cycles():
 def test_schema_rejects_bad_family():
     with pytest.raises(SchemaError, match=r"\$\.family"):
         book_from_dict({"family": {"a": 1.0, "b": 4.0}, "leaves": [{"id": 1, "disk": 0.5}]})
+    with pytest.raises(SchemaError, match=r"\$\.family"):
+        loads_book('{"family": {"a": Infinity, "b": 4.0}, "leaves": [{"id": 1, "disk": 0.5}]}')
     with pytest.raises(SchemaError):
         loads_book("not json at all {")
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,7 @@ def test_validate_outside_not_nested(family):
 
 def test_validate_beta_range_and_length(family):
     assert "BetaOutOfRange" in codes(validate_game(game(family, (0.0, 4.0), (1, 1))))
+    assert "BetaOutOfRange" in codes(validate_game(game(family, (0.0, -math.inf), (1, 1))))
     assert "LengthMismatch" in codes(validate_game(game(family, (0.0, 2.0), (1,))))
 
 

@@ -3,7 +3,16 @@ import math
 
 import pytest
 
-from billiard_books import ConfocalFamily, annulus, disk, dumps_book, make_book, simulate
+from billiard_books import (
+    ConfocalFamily,
+    OrderedGame,
+    annulus,
+    compile_simple,
+    disk,
+    dumps_book,
+    make_book,
+    simulate,
+)
 from billiard_books.cli import main
 from billiard_books.dynamics import PhaseState
 from billiard_books.render import RenderSpec, trajectory_svg
@@ -186,34 +195,47 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, complaint",
+    "argv, code, complaint",
     [
-        (["simulate", "BOOK", "--leaf", "99", "--caustic", "6.0"], "error: "),
-        (["simulate", "BOOK", "--leaf", "1", "--pos=50,50", "--vel", "1,0"], "error: "),
-        (["simulate", "BOOK", "--leaf", "1", "--pos=2.8,0.3", "--vel", "0,0"], "error: "),
-        (["simulate", "BOOK", "--caustic", "nan"], "error: "),
-        (["simulate", "BOOK", "--caustic", "6.0", "--events", "-5"], "error: "),
-        (["simulate", "BOOK", "--caustic", "6.0", "--seed", "-1"], "error: "),
-        (["verify", "BOOK", "GAME", "--samples", "-3"], "error: "),
-        (["verify", "BOOK", "GAME", "--seed", "-1"], "error: "),
-        (["verify", "BOOK", "GAME", "--start-leaf", "99"], "error: "),
-        (["fomenko", "INVALID"], "BadDomain: "),
+        (["simulate", "BOOK", "--leaf", "99", "--caustic", "6.0"], 3, "error: "),
+        (["simulate", "BOOK", "--leaf", "1", "--pos=50,50", "--vel", "1,0"], 3, "error: "),
+        (["simulate", "BOOK", "--leaf", "1", "--pos=2.8,0.3", "--vel", "0,0"], 3, "error: "),
+        (["simulate", "BOOK", "--caustic", "nan"], 3, "error: "),
+        (["simulate", "BOOK", "--caustic", "6.0", "--events", "-5"], 3, "error: "),
+        (["simulate", "BOOK", "--caustic", "6.0", "--seed", "-1"], 3, "error: "),
+        (["verify", "BOOK", "GAME", "--samples", "-3"], 3, "error: "),
+        (["verify", "BOOK", "GAME", "--seed", "-1"], 3, "error: "),
+        (["verify", "BOOK", "GAME", "--start-leaf", "99"], 3, "error: "),
+        (["fomenko", "INVALID"], 3, "BadDomain: "),
+        (["verify", "BOOK", "CONSTANT"], 2, "ConstantGame: "),
+        (["verify", "BOOK", "FOREIGN"], 3, "error: "),
+        (["simulate", "LARGE", "--caustic", "6.0", "--svg", "SVG"], 3, "error: "),
+        (["simulate", "BOOK", "--caustic", "6.0", "--events", "abc"], 3, "error: argument --events"),
+        (["fomenko", "NONFINITE"], 3, "NotFinite: "),
+        (["fomenko", "NEAR"], 3, "error: critical levels"),
     ],
     ids=["no-leaf", "pos-outside", "zero-vel", "nan-caustic", "negative-events",
          "negative-seed", "negative-samples", "verify-negative-seed", "no-start-leaf",
-         "invalid-book"],
+         "invalid-book", "constant-game", "foreign-family", "svg-too-many-leaves",
+         "events-not-integer", "non-finite-book", "near-levels"],
 )
-def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, complaint):
-    files = {
-        "BOOK": tmp_path / "book.json",
-        "GAME": tmp_path / "game.json",
-        "INVALID": tmp_path / "invalid.json",
-    }
+def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, code, complaint):
+    """main returns the documented code, with no traceback or SystemExit."""
+    fam = ConfocalFamily(9.0, 4.0)
+    files = {name: tmp_path / name for name in (
+        "BOOK", "GAME", "INVALID", "CONSTANT", "FOREIGN", "LARGE", "SVG", "NONFINITE", "NEAR")}
     files["BOOK"].write_text(dumps_book(books["annulus_two_disks"]))
     write_game(files["GAME"], (0.0, 2.0), (1, 1))
-    invalid = make_book(ConfocalFamily(9.0, 4.0), [disk(1, 2.0)], [(2.0, [[1, 99]])])
+    invalid = make_book(fam, [disk(1, 2.0)], [(2.0, [[1, 99]])])
     files["INVALID"].write_text(dumps_book(invalid))
-    assert main([str(files.get(arg, arg)) for arg in argv]) == 3
+    write_game(files["CONSTANT"], (2.0, 2.0), (1, 1))
+    write_game(files["FOREIGN"], (0.0, 2.0), (1, 1), a=16.0, b=9.0)
+    large = make_book(fam, [disk(i, 2.0) for i in range(1, 66)], [(2.0, [list(range(1, 66))])])
+    files["LARGE"].write_text(dumps_book(large))
+    files["NONFINITE"].write_text(dumps_book(make_book(fam, [disk(1, -math.inf)])))
+    near = compile_simple(OrderedGame(fam, (0.0, 2.0, 0.0, 2.0 + 1e-10), (1, 1, 1, 1)))
+    files["NEAR"].write_text(dumps_book(near.book))
+    assert main([str(files.get(arg, arg)) for arg in argv]) == code
     captured = capsys.readouterr()
     assert complaint in captured.err
     assert captured.out == ""
