@@ -69,11 +69,11 @@ def annulus(leaf_id: int, lam_outer: float, lam_inner: float) -> Leaf:
     return Leaf(leaf_id, lam_outer, lam_inner)
 
 
-def boundary_side(leaf: Leaf, ellipse_param: float, tol: float = PARAM_TOL) -> Side:
+def boundary_side(leaf: Leaf, ellipse_param: float) -> Side:
     """Which side of the ellipse the leaf occupies at that boundary."""
-    if abs(leaf.outer - ellipse_param) <= tol:
+    if abs(leaf.outer - ellipse_param) <= PARAM_TOL:
         return Side.WITHIN
-    if leaf.inner is not None and abs(leaf.inner - ellipse_param) <= tol:
+    if leaf.inner is not None and abs(leaf.inner - ellipse_param) <= PARAM_TOL:
         return Side.OUTSIDE
     raise NotABoundary(f"{ellipse_param} is not a boundary of leaf {leaf.id}")
 
@@ -97,9 +97,9 @@ class GluingPermutation:
     def image(self, leaf_id: int) -> int:
         return self.mapping.get(leaf_id, leaf_id)
 
-    def cycles(self, include_fixed: bool = False) -> list[list[int]]:
+    def cycles(self) -> list[list[int]]:
         """Disjoint cycles, each rotated to start at its least element and
-        sorted by that element; fixed points omitted unless requested."""
+        sorted by that element; fixed points omitted."""
         seen: set[int] = set()
         out: list[list[int]] = []
         for start in sorted(self.mapping):
@@ -112,7 +112,7 @@ class GluingPermutation:
                 cyc.append(cur)
                 seen.add(cur)
                 cur = self.mapping[cur]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(cyc)
         return out
 
@@ -133,16 +133,16 @@ class BilliardBook:
     def leaf(self, leaf_id: int) -> Leaf:
         return self._by_id[leaf_id]
 
-    def leaf_ids_on_ellipse(self, ellipse_param: float, tol: float = PARAM_TOL) -> list[int]:
+    def leaf_ids_on_ellipse(self, ellipse_param: float) -> list[int]:
         return [
             lf.id
             for lf in self.leaves
-            if any(abs(p - ellipse_param) <= tol for p in lf.boundary_params())
+            if any(abs(p - ellipse_param) <= PARAM_TOL for p in lf.boundary_params())
         ]
 
-    def gluing_for(self, ellipse_param: float, tol: float = PARAM_TOL) -> GluingPermutation | None:
+    def gluing_for(self, ellipse_param: float) -> GluingPermutation | None:
         for g in self.gluings:
-            if abs(g.ellipse - ellipse_param) <= tol:
+            if abs(g.ellipse - ellipse_param) <= PARAM_TOL:
                 return g
         return None
 

@@ -8,7 +8,7 @@ the reversed reflection games.
 
 from __future__ import annotations
 
-from .book import BilliardBook, annulus, disk, make_book
+from .book import BilliardBook, annulus, disk, invert_gluings, make_book
 from .conics import ConfocalFamily
 
 FIXTURE_FAMILY = ConfocalFamily(9.0, 4.0)
@@ -53,11 +53,7 @@ def chain_five(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
 
 
 def chain_five_inverted(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
-    return make_book(
-        family,
-        chain_five(family).leaves,
-        [(BETA_2, [[1, 3, 2]]), (BETA_3, [[3, 5, 4]])],
-    )
+    return invert_gluings(chain_five(family))
 
 
 def chain_six(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
@@ -87,11 +83,7 @@ def three_sheets(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
 
 
 def three_sheets_inverted(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
-    return make_book(
-        family,
-        three_sheets(family).leaves,
-        [(BETA_2, [[1, 3, 2]])],
-    )
+    return invert_gluings(three_sheets(family))
 
 
 def four_sheets(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
@@ -109,11 +101,7 @@ def four_sheets(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
 
 
 def four_sheets_inverted(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
-    return make_book(
-        family,
-        four_sheets(family).leaves,
-        [(BETA_1, [[1, 4]]), (BETA_2, [[1, 3, 2]]), (BETA_3, [[3, 4]])],
-    )
+    return invert_gluings(four_sheets(family))
 
 
 def two_annuli_disk_pair(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:

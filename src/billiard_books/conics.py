@@ -170,14 +170,13 @@ def next_intersection(
     vx: float,
     vy: float,
     lam_target: float,
-    t_min: float = T_MIN,
 ) -> tuple[tuple[float, float], float] | None:
     """First forward intersection of the ray p + t v with the ellipse
-    C_{lam_target}, skipping t <= t_min.  None when the ray misses."""
+    C_{lam_target}, skipping t <= T_MIN.  None when the ray misses."""
     _, roots = ray_intersections(family, lam_target, px, py, vx, vy)
     best = None
     for t in roots:
-        if t > t_min and (best is None or t < best):
+        if t > T_MIN and (best is None or t < best):
             best = t
     if best is None:
         return None
@@ -202,12 +201,11 @@ def reflect(
     py: float,
     vx: float,
     vy: float,
-    tol: float = ON_CONIC_TOL,
 ) -> tuple[float, float]:
     """Billiard reflection of (vx, vy) across the tangent of C_{lam_boundary}
     at (px, py): normal component negated, tangential kept, result unit."""
     res = family.conic_residual(lam_boundary, px, py)
-    if abs(res) > tol:
+    if abs(res) > ON_CONIC_TOL:
         raise PointNotOnConic(
             f"residual {res:.3e} at ({px}, {py}) on C_{lam_boundary}"
         )

@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 
 MAX_EVENTS_DEFAULT = 10_000
 TIE_TOL = 1e-9  # two boundary hits closer than this count as a tie
+_CONTAINS_TOL = 1e-9  # conic residual by which a point may lie outside its leaf
 
 
 class DynamicsError(Exception):
@@ -101,12 +102,12 @@ class Trajectory:
     status: str = STATUS_OK
 
 
-def contains(book: BilliardBook, leaf: Leaf, x: float, y: float, tol: float = 1e-9) -> bool:
+def contains(book: BilliardBook, leaf: Leaf, x: float, y: float) -> bool:
     """Closed containment of a point in a leaf's region."""
     fam = book.family
-    if fam.conic_residual(leaf.outer, x, y) > tol:
+    if fam.conic_residual(leaf.outer, x, y) > _CONTAINS_TOL:
         return False
-    if leaf.inner is not None and fam.conic_residual(leaf.inner, x, y) < -tol:
+    if leaf.inner is not None and fam.conic_residual(leaf.inner, x, y) < -_CONTAINS_TOL:
         return False
     return True
 

@@ -26,6 +26,7 @@ from .dynamics import PhaseState, TangentialHit, simulate, step, trace_to_game
 from .dynamics import EventSide
 
 BETA_TOL = 1e-12
+_VERIFY_CYCLES = 5  # game periods each verification sample must repeat
 
 
 class GameError(Exception):
@@ -124,8 +125,11 @@ def validate_game(game: OrderedGame) -> list[GameViolation]:
 
 def normalize_game(game: OrderedGame) -> tuple[OrderedGame, int]:
     """Cyclic rotation putting the outermost ellipse first with
-    betas[0] != betas[-1]; returns (rotated game, shift applied)."""
+    betas[0] != betas[-1]; returns (rotated game, shift applied).  A
+    one-reflection game is its own normal form."""
     n = len(game.betas)
+    if n == 1:
+        return game, 0
     bmin = min(game.betas)
     for shift in range(n):
         if _same(game.betas[shift], bmin) and not _same(
@@ -347,11 +351,10 @@ def verify_realization(
     report: CompileReport,
     samples: int,
     seed: int = 0,
-    cycles: int = 5,
 ) -> list[tuple[int, int]]:
     """Check that traces from admissible starts repeat the game's reflection
-    sequence.  Returns (sample, first divergent reflection index) failures;
-    empty list means every sample matched."""
+    sequence _VERIFY_CYCLES times.  Returns (sample, first divergent
+    reflection index) failures; empty list means every sample matched."""
     game = report.game
     fam = game.family
     n = game.n
@@ -359,7 +362,7 @@ def verify_realization(
     (e_lo, e_hi), (h_lo, h_hi) = admissible_caustic_range(game)
     rng = np.random.default_rng(seed)
     failures: list[tuple[int, int]] = []
-    need = cycles * n
+    need = _VERIFY_CYCLES * n
     for i in range(samples):
         # alternate hyperbolic and elliptic caustics, keeping clear of the
         # critical endpoints

@@ -15,14 +15,14 @@ from .book import BilliardBook, Leaf
 from .dynamics import Trajectory
 
 MAX_LEAVES = 64
+_STROKE = 0.03  # outline width
+_MARGIN = 0.4  # space around and between panels
+_OUTLINE_SAMPLES = 128  # polygon points per ellipse outline
 
 
 @dataclass(frozen=True)
 class RenderSpec:
     layout: str = "side-by-side"  # or "overlay"
-    stroke: float = 0.03
-    margin: float = 0.4
-    samples: int = 128  # polygon points per ellipse outline
     show_caustic: bool = False
 
 
@@ -30,27 +30,27 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _ellipse_path(sx: float, sy: float, ox: float, oy: float, n: int) -> str:
+def _ellipse_path(sx: float, sy: float, ox: float, oy: float) -> str:
     pts = []
-    for i in range(n + 1):
-        th = 2.0 * math.pi * i / n
+    for i in range(_OUTLINE_SAMPLES + 1):
+        th = 2.0 * math.pi * i / _OUTLINE_SAMPLES
         pts.append(f"{_fmt(ox + sx * math.cos(th))},{_fmt(oy + sy * math.sin(th))}")
     return "M" + " L".join(pts) + " Z"
 
 
-def _leaf_paths(book: BilliardBook, leaf: Leaf, ox: float, oy: float, spec: RenderSpec) -> str:
+def _leaf_paths(book: BilliardBook, leaf: Leaf, ox: float, oy: float) -> str:
     fam = book.family
     sx, sy = fam.semi_axes(leaf.outer)
-    outer = _ellipse_path(sx, sy, ox, oy, spec.samples)
+    outer = _ellipse_path(sx, sy, ox, oy)
     fill = "#dfe7f1"
     parts = [
-        f'<path d="{outer}" fill="{fill}" stroke="#30435f" stroke-width="{_fmt(spec.stroke)}"/>'
+        f'<path d="{outer}" fill="{fill}" stroke="#30435f" stroke-width="{_fmt(_STROKE)}"/>'
     ]
     if leaf.inner is not None:
         ix, iy = fam.semi_axes(leaf.inner)
-        inner = _ellipse_path(ix, iy, ox, oy, spec.samples)
+        inner = _ellipse_path(ix, iy, ox, oy)
         parts.append(
-            f'<path d="{inner}" fill="#ffffff" stroke="#7c8aa5" stroke-width="{_fmt(spec.stroke)}"/>'
+            f'<path d="{inner}" fill="#ffffff" stroke="#7c8aa5" stroke-width="{_fmt(_STROKE)}"/>'
         )
     return "\n".join(parts)
 
@@ -74,7 +74,7 @@ def trajectory_svg(
     fam = book.family
     sx0 = math.sqrt(fam.a)
     sy0 = math.sqrt(fam.b)
-    pitch = 2.0 * sx0 + 2.0 * spec.margin
+    pitch = 2.0 * sx0 + 2.0 * _MARGIN
     leaves = sorted(book.leaves, key=lambda lf: lf.id)
     offsets: dict[int, tuple[float, float]] = {}
     for i, lf in enumerate(leaves):
@@ -84,11 +84,11 @@ def trajectory_svg(
     labels = []
     for lf in leaves:
         ox, oy = offsets[lf.id]
-        body.append(_leaf_paths(book, lf, ox, oy, spec))
+        body.append(_leaf_paths(book, lf, ox, oy))
         if spec.layout == "side-by-side":
             labels.append(
-                f'<text x="{_fmt(ox)}" y="{_fmt(sy0 + spec.margin * 0.75)}" '
-                f'font-size="{_fmt(spec.margin * 0.6)}" text-anchor="middle" '
+                f'<text x="{_fmt(ox)}" y="{_fmt(sy0 + _MARGIN * 0.75)}" '
+                f'font-size="{_fmt(_MARGIN * 0.6)}" text-anchor="middle" '
                 f'fill="#30435f">leaf {lf.id}</text>'
             )
     if spec.show_caustic and traj is not None and traj.caustic < fam.b:
@@ -96,9 +96,9 @@ def trajectory_svg(
         for lf in leaves if spec.layout == "side-by-side" else leaves[:1]:
             ox, oy = offsets[lf.id]
             body.append(
-                f'<path d="{_ellipse_path(cx, cy, ox, oy, spec.samples)}" fill="none" '
+                f'<path d="{_ellipse_path(cx, cy, ox, oy)}" fill="none" '
                 f'stroke="#b04a4a" stroke-dasharray="0.15,0.1" '
-                f'stroke-width="{_fmt(spec.stroke)}"/>'
+                f'stroke-width="{_fmt(_STROKE)}"/>'
             )
     if traj is not None:
         for leaf_id, x0, y0, x1, y1 in _segments_by_leaf(traj):
@@ -106,17 +106,17 @@ def trajectory_svg(
             body.append(
                 f'<line x1="{_fmt(ox + x0)}" y1="{_fmt(oy + y0)}" '
                 f'x2="{_fmt(ox + x1)}" y2="{_fmt(oy + y1)}" '
-                f'stroke="#1d1d1d" stroke-width="{_fmt(spec.stroke * 1.3)}"/>'
+                f'stroke="#1d1d1d" stroke-width="{_fmt(_STROKE * 1.3)}"/>'
             )
 
     if spec.layout == "side-by-side":
         width = pitch * len(leaves)
-        x_lo = -sx0 - spec.margin
+        x_lo = -sx0 - _MARGIN
     else:
         width = pitch
-        x_lo = -sx0 - spec.margin
-    height = 2.0 * (sy0 + spec.margin)
-    view = f"{_fmt(x_lo)} {_fmt(-sy0 - spec.margin)} {_fmt(width)} {_fmt(height)}"
+        x_lo = -sx0 - _MARGIN
+    height = 2.0 * (sy0 + _MARGIN)
+    view = f"{_fmt(x_lo)} {_fmt(-sy0 - _MARGIN)} {_fmt(width)} {_fmt(height)}"
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}" width="{_fmt(width * 40)}" '
         f'height="{_fmt(height * 40)}">',

@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import permutations, product
+from typing import Iterable
 
 from .book import BilliardBook, Side, boundary_side, glued_return_leaf
 from .conics import directions_with_caustic, inward_normal, winding_sign
@@ -25,11 +26,14 @@ from .dynamics import EventSide, PhaseState, Rule, TangentialHit, step, transiti
 
 log = logging.getLogger(__name__)
 
-SEPARATRIX_COUNT = {"A": 0, "B": 2, "C2": 4}
-ATOM_EDGE_CAPACITY = {"A": 1, "B": 3, "C2": 4}
+# atom type -> (critical circles, edges, separatrices)
+ATOMS = {"A": (1, 1, 0), "B": (1, 3, 2), "C2": (2, 4, 4)}
+ATOM_EDGE_CAPACITY = {typ: edges for typ, (_, edges, _) in ATOMS.items()}
 
 _WITNESS_ANGLES = (0.9, 2.2, 4.0, 5.3, 1.5, 3.3, 0.3, 2.8, 4.7, 5.9)
 _WITNESS_FRACTIONS = (0.35, -0.45, 0.7, -0.15, 0.55, -0.75, 0.1, -0.6, 0.85, -0.3)
+# how far inside the ellipse, in units of sqrt(a), a grazing probe starts
+_PROBE_DEPTH = 1e-7
 
 
 class TopologyError(Exception):
@@ -124,18 +128,14 @@ def _witness_state(book: BilliardBook, lam: float, state: RegimeState) -> PhaseS
     hyper = lam > fam.b
     e = state.ellipse
     want_inward = state.side is EventSide.FROM_INSIDE
-    if hyper:
-        x_cap = 0.92 * min(math.sqrt(fam.a - lam), math.sqrt(fam.a - e))
-        samples = [(u * x_cap, state.sign) for u in _WITNESS_FRACTIONS]
-    else:
-        samples = None
     points: list[tuple[float, float]] = []
     if hyper:
-        for px, s in samples:
+        x_cap = 0.92 * min(math.sqrt(fam.a - lam), math.sqrt(fam.a - e))
+        for u in _WITNESS_FRACTIONS:
+            px = u * x_cap
             inner = 1.0 - px * px / (fam.a - e)
-            if inner <= 1e-9:
-                continue
-            points.append((px, s * math.sqrt((fam.b - e) * inner)))
+            if inner > 1e-9:
+                points.append((px, state.sign * math.sqrt((fam.b - e) * inner)))
     else:
         points = [fam.ellipse_point(e, th) for th in _WITNESS_ANGLES]
     for px, py in points:
@@ -307,7 +307,6 @@ def grazing_probe_exits(
     ellipse_param: float,
     outer_leaf: int,
     n_probes: int = 16,
-    offset: float = 1e-7,
 ) -> list[int]:
     """Numerically witness the gluing chain: launch near-tangent rays just
     inside the ellipse at ``n_probes`` points and record the leaf each one
@@ -319,7 +318,7 @@ def grazing_probe_exits(
     entry = g.image(outer_leaf)
     sx = math.sqrt(fam.a - ellipse_param)
     sy = math.sqrt(fam.b - ellipse_param)
-    depth = offset * math.sqrt(fam.a)
+    depth = _PROBE_DEPTH * math.sqrt(fam.a)
     exits: list[int] = []
     for i in range(n_probes):
         th = 2.0 * math.pi * (i + 0.4) / n_probes
@@ -482,24 +481,29 @@ class FomenkoGraph:
         return deg
 
 
-def _atom_type(n_circles: int, n_edges: int) -> str:
-    table = {(1, 1): "A", (1, 3): "B", (2, 4): "C2"}
-    return table.get((n_circles, n_edges), "Unknown")
+def _atom(
+    lam: float, n_circles: int, n_edges: int, description: str, circles: Iterable = ()
+) -> FomenkoAtom:
+    """The atom whose (critical circles, edges) shape is listed in ATOMS;
+    Unknown, with separatrix count -1, when no type has that shape."""
+    typ, separatrices = "Unknown", -1
+    for name, (c, e, sep) in ATOMS.items():
+        if (c, e) == (n_circles, n_edges):
+            typ, separatrices = name, sep
+    return FomenkoAtom(lam, typ, n_circles, separatrices, description, tuple(circles))
 
 
 class _Chain:
-    """A torus family extended across regular levels; becomes one edge."""
+    """A torus family extended across regular levels; becomes one edge
+    carrying the regime of its first band."""
 
-    __slots__ = ("segments", "lo_atom", "hi_atom")
+    __slots__ = ("first", "regime", "lo_atom", "hi_atom")
 
-    def __init__(self, interval_idx: int, regime: RegimeDescriptor, lo_atom: int):
-        self.segments: list[tuple[int, RegimeDescriptor]] = [(interval_idx, regime)]
+    def __init__(self, regime: RegimeDescriptor, lo_atom: int):
+        self.first = regime
+        self.regime = regime  # the family's regime in the latest band it reached
         self.lo_atom = lo_atom
         self.hi_atom: int | None = None
-
-    @property
-    def regime(self) -> RegimeDescriptor:
-        return self.segments[-1][1]
 
 
 def _continue_regime(
@@ -529,11 +533,7 @@ def _continue_regime(
             best = (vx, vy)
     if best is None:
         return None
-    sign = (
-        winding_sign(w.x, w.y, best[0], best[1])
-        if lam_target < fam.b
-        else (1 if w.y >= 0.0 else -1)
-    )
+    sign = _state_sign(book, lam_target, replace(w, vx=best[0], vy=best[1]))
     return above_index.get(replace(first, sign=sign).key())
 
 
@@ -542,9 +542,10 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
     joining them.
 
     Torus families (chains) extend across regular levels by continuation;
-    they terminate on atoms at grazing-singular levels, at lam = b (matched
-    to major-axis bounce orbits by their reflection classes) and at lam = a
-    (matched to minor-axis orbits including the half-plane sign).
+    they start on A atoms where the boundary flow appears and terminate on
+    atoms at grazing-singular levels, at lam = b (matched to major-axis
+    bounce orbits by their reflection classes) and at lam = a (matched to
+    minor-axis orbits including the half-plane sign).
     """
     fam = book.family
     levels = critical_levels(book)
@@ -557,190 +558,89 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
     regs = [enumerate_regimes(book, mid) for mid in mids]
 
     atoms: list[FomenkoAtom] = []
-    all_chains: list[_Chain] = []
+    chains: list[_Chain] = []
 
-    def add_atom(atom: FomenkoAtom) -> int:
+    def add_atom(atom: FomenkoAtom, ins=(), outs=()) -> list[_Chain]:
+        """Append the atom, end the chains ``ins`` on it, and return the
+        chains it opens, one per regime in ``outs``."""
         atoms.append(atom)
-        return len(atoms) - 1
-
-    def open_chain(interval_idx: int, regime: RegimeDescriptor, lo_atom: int) -> _Chain:
-        chain = _Chain(interval_idx, regime, lo_atom)
-        all_chains.append(chain)
-        return chain
+        for chain in ins:
+            chain.hi_atom = len(atoms) - 1
+        opened = [_Chain(r, len(atoms) - 1) for r in outs]
+        chains.extend(opened)
+        return opened
 
     def orient_label(o: int) -> str:
         return "ccw" if o > 0 else "cw"
 
+    # Leaf-boundary levels, outermost first.  No family is open at the
+    # outermost one and it is never inconsistent, so every regime of the
+    # first band starts at an A atom there.
     open_chains: list[_Chain] = []
-    for r in regs[0]:
-        idx = add_atom(
-            FomenkoAtom(
-                levels[0],
-                "A",
-                1,
-                0,
-                f"boundary flow on C{levels[0]:g} ({orient_label(r.orientation)})",
-            )
-        )
-        open_chains.append(open_chain(0, r, idx))
-
-    for k in range(1, m - 2):
+    for k in range(m - 2):
         e = levels[k]
+        new_open: list[_Chain] = []
         if not _level_inconsistent(book, e):
             above_index = {
                 st.key(): idx for idx, r in enumerate(regs[k]) for st in r.reflection_states
             }
             used: set[int] = set()
-            new_open: list[_Chain] = []
             for chain in open_chains:
                 ridx = _continue_regime(book, chain.regime, mids[k], above_index)
                 if ridx is None or ridx in used:
-                    chain.hi_atom = add_atom(
-                        FomenkoAtom(e, "Unknown", 0, -1, "unmatched continuation")
-                    )
+                    add_atom(_atom(e, 0, 1, "unmatched continuation"), ins=[chain])
                     continue
                 used.add(ridx)
-                chain.segments.append((k, regs[k][ridx]))
+                chain.regime = regs[k][ridx]
                 new_open.append(chain)
             for ridx, r in enumerate(regs[k]):
-                if ridx in used:
-                    continue
-                idx = add_atom(
-                    FomenkoAtom(
-                        e, "A", 1, 0, f"boundary flow on C{e:g} ({orient_label(r.orientation)})"
-                    )
-                )
-                new_open.append(open_chain(k, r, idx))
-            open_chains = new_open
+                if ridx not in used:
+                    desc = f"boundary flow on C{e:g} ({orient_label(r.orientation)})"
+                    new_open += add_atom(_atom(e, 1, 1, desc), outs=[r])
         else:
-            groups: dict[int, tuple[list[_Chain], list[int]]] = {}
+            groups: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
             for chain in open_chains:
-                groups.setdefault(chain.regime.orientation, ([], []))[0].append(chain)
-            for ridx, r in enumerate(regs[k]):
-                groups.setdefault(r.orientation, ([], []))[1].append(ridx)
-            new_open = []
+                groups[chain.regime.orientation][0].append(chain)
+            for r in regs[k]:
+                groups[r.orientation][1].append(r)
             for o in sorted(groups):
                 ins, outs = groups[o]
-                typ = "B" if len(ins) + len(outs) == 3 else "Unknown"
-                idx = add_atom(
-                    FomenkoAtom(
-                        e,
-                        typ,
-                        1,
-                        SEPARATRIX_COUNT.get(typ, -1),
-                        f"grazing circle on C{e:g} ({orient_label(o)})",
-                    )
-                )
-                for chain in ins:
-                    chain.hi_atom = idx
-                for ridx in outs:
-                    new_open.append(open_chain(k, regs[k][ridx], idx))
-            open_chains = new_open
+                desc = f"grazing circle on C{e:g} ({orient_label(o)})"
+                new_open += add_atom(_atom(e, 1, len(ins) + len(outs), desc), ins, outs)
+        open_chains = new_open
 
-    # lam = b: bounce circles on the major axis join the last elliptic and
-    # the hyperbolic families into saddle atoms.
-    circles = axis_bounce_circles(book, "x")
-    below = list(open_chains)
-    above = regs[m - 2]
-    parent: dict = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    nodes = [("c", i) for i in range(len(circles))]
-    nodes += [("below", i) for i in range(len(below))]
-    nodes += [("above", i) for i in range(len(above))]
-    for node in nodes:
-        find(node)
-    for kind, i in nodes:
-        if kind == "c":
-            continue
-        regime = below[i].regime if kind == "below" else above[i]
-        key = regime.reflection_key(signed=False)
-        for ci, c in enumerate(circles):
-            if c.reflection_key(signed=False) == key:
-                union((kind, i), ("c", ci))
-
-    comps: dict = {}
-    for node in nodes:
-        comps.setdefault(find(node), []).append(node)
-    new_open = []
-    for root in sorted(comps, key=str):
-        comp = comps[root]
-        comp_circles = [circles[i] for kind, i in comp if kind == "c"]
-        comp_below = [below[i] for kind, i in comp if kind == "below"]
-        comp_above = [above[i] for kind, i in comp if kind == "above"]
-        n_edges = len(comp_below) + len(comp_above)
-        if not comp_circles and n_edges == 0:
-            continue
-        typ = _atom_type(len(comp_circles), n_edges)
-        desc = " / ".join(c.describe() for c in comp_circles) or "no critical circle matched"
-        idx = add_atom(
-            FomenkoAtom(
-                fam.b,
-                typ,
-                len(comp_circles),
-                SEPARATRIX_COUNT.get(typ, -1),
-                desc,
-                tuple(comp_circles),
-            )
-        )
-        for chain in comp_below:
-            chain.hi_atom = idx
-        for r in comp_above:
-            new_open.append(open_chain(m - 2, r, idx))
-    open_chains = new_open
-
-    # lam = a: every minor-axis bounce orbit closes one torus family.
-    circles_a = axis_bounce_circles(book, "y")
-    attach: dict[int, list[_Chain]] = {i: [] for i in range(len(circles_a))}
-    stray: list[_Chain] = []
-    for chain in open_chains:
-        key = chain.regime.reflection_key(signed=True)
-        matched = [
-            ci for ci, c in enumerate(circles_a) if c.reflection_key(signed=True) == key
-        ]
-        if len(matched) == 1:
-            attach[matched[0]].append(chain)
-        else:
-            stray.append(chain)
-    for ci, c in enumerate(circles_a):
-        hooked = attach[ci]
-        if not hooked:
-            add_atom(FomenkoAtom(fam.a, "Unknown", 1, -1, c.describe(), (c,)))
-            continue
-        typ = "A" if len(hooked) == 1 else "Unknown"
-        idx = add_atom(
-            FomenkoAtom(fam.a, typ, 1, SEPARATRIX_COUNT.get(typ, -1), c.describe(), (c,))
-        )
-        for chain in hooked:
-            chain.hi_atom = idx
-    for chain in stray:
-        chain.hi_atom = add_atom(
-            FomenkoAtom(fam.a, "Unknown", 0, -1, "no minor-axis orbit matched")
-        )
+    # lam = b: the major-axis bounce circles join the last elliptic and the
+    # hyperbolic families with the same unsigned reflection classes into
+    # saddle atoms.  lam = a: each minor-axis bounce orbit closes the
+    # hyperbolic family with its signed reflection classes.  Distinct orbits
+    # there have disjoint, non-empty reflection sets, so each group holds at
+    # most one circle.
+    for lam, axis, signed, regimes, unmatched in (
+        (fam.b, "x", False, regs[m - 2], "no critical circle matched"),
+        (fam.a, "y", True, [], "no minor-axis orbit matched"),
+    ):
+        key_groups: dict[frozenset, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
+        for c in axis_bounce_circles(book, axis):
+            key_groups[c.reflection_key(signed)][0].append(c)
+        for chain in open_chains:
+            key_groups[chain.regime.reflection_key(signed)][1].append(chain)
+        for r in regimes:
+            key_groups[r.reflection_key(signed)][2].append(r)
+        new_open = []
+        for circles, ins, outs in key_groups.values():
+            desc = " / ".join(c.describe() for c in circles) or unmatched
+            atom = _atom(lam, len(circles), len(ins) + len(outs), desc, circles)
+            new_open += add_atom(atom, ins, outs)
+        open_chains = new_open
 
     edges: list[tuple[int, int, RegimeDescriptor]] = []
-    for chain in all_chains:
+    for chain in chains:
         if chain.hi_atom is None:  # pragma: no cover - every chain terminates
             raise TopologyError("torus family left open")
-        first_i, first_r = chain.segments[0]
-        last_i, _ = chain.segments[-1]
-        merged = RegimeDescriptor(
-            caustic_interval=(levels[first_i], levels[last_i + 1]),
-            states=first_r.states,
-            orientation=first_r.orientation,
-            witness=first_r.witness,
-            reflection_states=first_r.reflection_states,
+        interval = (atoms[chain.lo_atom].lam, atoms[chain.hi_atom].lam)
+        edges.append(
+            (chain.lo_atom, chain.hi_atom, replace(chain.first, caustic_interval=interval))
         )
-        edges.append((chain.lo_atom, chain.hi_atom, merged))
     return FomenkoGraph(atoms, edges)
 
 
@@ -804,11 +704,7 @@ def graph_from_census(
     atoms: list[tuple[float, str]], edges: list[tuple[int, int]]
 ) -> FomenkoGraph:
     """Hand-built comparison graph: atoms as (lambda, type), edges by index."""
-    built = [
-        FomenkoAtom(lam, typ, {"A": 1, "B": 1, "C2": 2}.get(typ, 0),
-                    SEPARATRIX_COUNT.get(typ, -1), "reference")
-        for lam, typ in atoms
-    ]
+    built = [_atom(lam, *ATOMS.get(typ, (0, 0, -1))[:2], "reference") for lam, typ in atoms]
     dummy = [
         (i, j, RegimeDescriptor((built[i].lam, built[j].lam), (), 1))
         for i, j in edges

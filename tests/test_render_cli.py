@@ -69,6 +69,17 @@ def test_cli_compile_and_verify(tmp_path, capsys):
     assert "divergent" in err or "no admissible" in err
 
 
+def test_cli_compile_and_verify_one_reflection(tmp_path, capsys):
+    # a single ellipse hit from inside: compile builds one disk, and verify
+    # must accept the game it was compiled from
+    game = write_game(tmp_path / "game.json", (0.0,), (1,))
+    book = str(tmp_path / "book.json")
+    assert main(["compile", game, "--out", book]) == 0
+    assert "leaves=1" in capsys.readouterr().out
+    assert main(["verify", book, game, "--samples", "6"]) == 0
+    assert "mismatches=0" in capsys.readouterr().out
+
+
 def test_cli_verify_zero_samples(tmp_path, capsys):
     game = write_game(tmp_path / "game.json", (0.0, 2.0), (1, 1))
     book = str(tmp_path / "book.json")

@@ -284,3 +284,27 @@ def test_to_dot_deterministic(books):
     assert text == to_dot(graph)
     assert 'label="C2@4.0"' in text
     assert text.count(" -- ") == 4
+
+
+def test_random_books_conserve_regimes_and_fill_atoms(family):
+    # every regime of every band is carried by exactly one edge whose
+    # interval covers the band, and every classified atom has as many edges
+    # as its type holds
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        game = random_valid_game(family, rng, int(rng.integers(2, 9)))
+        book = compile_simple(game).book
+        graph = build_fomenko_graph(book)
+        levels = critical_levels(book)
+        for lo, hi in zip(levels, levels[1:]):
+            keys = [r.key() for r in enumerate_regimes(book, (lo + hi) / 2)]
+            covering = [
+                r for _, _, r in graph.edges
+                if r.caustic_interval[0] <= lo and hi <= r.caustic_interval[1]
+            ]
+            assert len(covering) == len(keys), (game, lo, hi)
+            starting = [r.key() for r in covering if r.caustic_interval[0] == lo]
+            assert len(set(starting)) == len(starting) and set(starting) <= set(keys), (game, lo)
+        for atom, deg in zip(graph.atoms, graph.degrees()):
+            if atom.type != "Unknown":
+                assert deg == ATOM_EDGE_CAPACITY[atom.type], (game, atom, deg)
