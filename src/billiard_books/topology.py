@@ -17,7 +17,6 @@ import logging
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import permutations, product
 from typing import Iterable
 
 from .book import BilliardBook, Side, boundary_side, glued_return_leaf
@@ -664,38 +663,123 @@ def _atom_rank_keys(graph: FomenkoGraph) -> list[tuple[int, str]]:
     return [(lams.index(round(a.lam, 9)), a.type) for a in graph.atoms]
 
 
+def _edge_multiset(graph: FomenkoGraph, mapping: dict[int, int] | None = None) -> Counter:
+    out: Counter = Counter()
+    for i, j, _ in graph.edges:
+        a, b = (mapping[i], mapping[j]) if mapping else (i, j)
+        out[(min(a, b), max(a, b))] += 1
+    return out
+
+
+def _multiplicities(graph: FomenkoGraph) -> list[dict[int, int]]:
+    """Per atom, the number of edges to each neighbour; a self-loop counts
+    once, under the atom itself."""
+    adj: list[dict[int, int]] = [{} for _ in graph.atoms]
+    for (i, j), m in _edge_multiset(graph).items():
+        adj[i][j] = adj[j][i] = m
+    return adj
+
+
+def _refine_jointly(keys1, adj1, keys2, adj2) -> list[list[int]] | None:
+    """Colour refinement run on both graphs with one shared signature table,
+    so that equal colours mean the same thing in either graph.  Returns the
+    two stable colourings, or None once their histograms differ."""
+    ids: dict = {}
+    cols = [[ids.setdefault(k, len(ids)) for k in keys] for keys in (keys1, keys2)]
+    classes = len(ids)
+    while True:
+        table: dict = {}
+        cols = [
+            [
+                table.setdefault(
+                    (col[i], tuple(sorted((col[j], m) for j, m in adj[i].items()))),
+                    len(table),
+                )
+                for i in range(len(col))
+            ]
+            for col, adj in zip(cols, (adj1, adj2))
+        ]
+        if Counter(cols[0]) != Counter(cols[1]):
+            return None
+        if len(table) == classes:
+            return cols
+        classes = len(table)
+
+
 def graphs_isomorphic(g1: FomenkoGraph, g2: FomenkoGraph) -> bool:
     """Exact isomorphism preserving atom types, the ordering of critical
-    levels, and edge incidence (multigraph-aware)."""
-    if len(g1.atoms) != len(g2.atoms) or len(g1.edges) != len(g2.edges):
+    levels, and edge incidence (multigraph-aware).
+
+    Colour refinement (McKay–Piperno, *Practical graph isomorphism II*,
+    2014) starts from each atom's (level rank, type) and repeatedly splits
+    atoms by their neighbours' colours and edge multiplicities, on both
+    graphs at once; differing colour histograms prove the graphs distinct.
+    Equal histograms prove nothing (two triangles and a hexagon refine
+    alike), so a backtracking search then maps g1's atoms, smallest colour
+    class first, onto unused g2 atoms of the same colour whose self-loops
+    and multiplicities to every atom mapped so far agree.  True is returned
+    only for a full bijection under which g1's edge multiset equals g2's.
+    """
+    n = len(g1.atoms)
+    if n != len(g2.atoms) or len(g1.edges) != len(g2.edges):
         return False
     keys1 = _atom_rank_keys(g1)
     keys2 = _atom_rank_keys(g2)
     if Counter(keys1) != Counter(keys2):
         return False
+    adj1, adj2 = _multiplicities(g1), _multiplicities(g2)
+    colours = _refine_jointly(keys1, adj1, keys2, adj2)
+    if colours is None:
+        return False
+    col1, col2 = colours
+    if n == 0:
+        return True
 
-    groups1: dict[tuple, list[int]] = {}
-    groups2: dict[tuple, list[int]] = {}
-    for i, k in enumerate(keys1):
-        groups1.setdefault(k, []).append(i)
-    for i, k in enumerate(keys2):
-        groups2.setdefault(k, []).append(i)
+    candidates: dict[int, list[int]] = defaultdict(list)
+    for v, c in enumerate(col2):
+        candidates[c].append(v)
+    # smallest colour class first; among equals, the atom with the most
+    # edges into the atoms already ordered, so candidates meet constraints early
+    order: list[int] = []
+    links = [0] * n
+    rest = set(range(n))
+    while rest:
+        u = min(rest, key=lambda x: (len(candidates[col1[x]]), -links[x], col1[x], x))
+        rest.discard(u)
+        order.append(u)
+        for w, m in adj1[u].items():
+            links[w] += m
+    target = _edge_multiset(g2)
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
 
-    def edge_multiset(graph: FomenkoGraph, mapping: dict[int, int] | None) -> Counter:
-        out: Counter = Counter()
-        for i, j, _ in graph.edges:
-            a, b = (mapping[i], mapping[j]) if mapping else (i, j)
-            out[(min(a, b), max(a, b))] += 1
-        return out
+    def fits(u: int, v: int) -> bool:
+        if adj1[u].get(u, 0) != adj2[v].get(v, 0):
+            return False
+        into = 0
+        for w, m in adj1[u].items():
+            if w != u and w in mapping:
+                if adj2[v].get(mapping[w], 0) != m:
+                    return False
+                into += m
+        return into == sum(m for x, m in adj2[v].items() if x != v and x in used)
 
-    target = edge_multiset(g2, None)
-    group_keys = sorted(groups1)
-    for assignment in product(*(permutations(groups2[k]) for k in group_keys)):
-        mapping: dict[int, int] = {}
-        for k, perm in zip(group_keys, assignment):
-            for src, dst in zip(groups1[k], perm):
-                mapping[src] = dst
-        if edge_multiset(g1, mapping) == target:
+    # stack[d] iterates the candidates for order[d]; order[d] is mapped
+    # exactly while its entry is on the stack and a candidate was taken
+    stack = [iter(candidates[col1[order[0]]])]
+    while stack:
+        u = order[len(stack) - 1]
+        if u in mapping:
+            used.discard(mapping.pop(u))
+        v = next((v for v in stack[-1] if v not in used and fits(u, v)), None)
+        if v is None:
+            stack.pop()
+            continue
+        mapping[u] = v
+        used.add(v)
+        if len(stack) < n:
+            stack.append(iter(candidates[col1[order[len(stack)]]]))
+        elif _edge_multiset(g1, mapping) == target:
             return True
     return False
 
@@ -703,8 +787,12 @@ def graphs_isomorphic(g1: FomenkoGraph, g2: FomenkoGraph) -> bool:
 def graph_from_census(
     atoms: list[tuple[float, str]], edges: list[tuple[int, int]]
 ) -> FomenkoGraph:
-    """Hand-built comparison graph: atoms as (lambda, type), edges by index."""
+    """Hand-built comparison graph: atoms as (lambda, type), edges by index.
+    Raises TopologyError for an edge naming an atom outside the list."""
     built = [_atom(lam, *ATOMS.get(typ, (0, 0, -1))[:2], "reference") for lam, typ in atoms]
+    for i, j in edges:
+        if i not in range(len(built)) or j not in range(len(built)):
+            raise TopologyError(f"edge ({i}, {j}) names an atom outside range({len(built)})")
     dummy = [
         (i, j, RegimeDescriptor((built[i].lam, built[j].lam), (), 1))
         for i, j in edges
