@@ -73,6 +73,14 @@ def _same(x: float, y: float) -> bool:
     return abs(x - y) <= BETA_TOL
 
 
+def _repeats(betas: tuple[float, ...]) -> list[tuple[int, int]]:
+    """Cyclically consecutive positions (k, k + 1 mod n) with one ellipse."""
+    n = len(betas)
+    if n == 1:
+        return []
+    return [(k, (k + 1) % n) for k in range(n) if _same(betas[k], betas[(k + 1) % n])]
+
+
 def validate_game(game: OrderedGame) -> list[GameViolation]:
     """All rule violations; empty list means the game is playable."""
     out: list[GameViolation] = []
@@ -179,13 +187,12 @@ def compile_game(game: OrderedGame) -> CompileReport:
     reflections glue the two adjacent annuli directly.
     """
     n = game.n
-    for k in range(n):
-        if n > 1 and _same(game.betas[k], game.betas[(k + 1) % n]):
-            if game.signature[k] == -1 or game.signature[(k + 1) % n] == -1:
-                raise RepeatWithOutside(
-                    f"ellipse {game.betas[k]} repeats at positions {k}, {(k + 1) % n} "
-                    "with an outside reflection"
-                )
+    for k, j in _repeats(game.betas):
+        if game.signature[k] == -1 or game.signature[j] == -1:
+            raise RepeatWithOutside(
+                f"ellipse {game.betas[k]} repeats at positions {k}, {j} "
+                "with an outside reflection"
+            )
     violations = validate_game(game)
     if violations:
         raise InvalidGame(violations)
@@ -268,13 +275,10 @@ def compile_game(game: OrderedGame) -> CompileReport:
 def compile_simple(game: OrderedGame) -> CompileReport:
     """Repeat-free compilation; rejects games with equal consecutive
     ellipses (use compile_general for those)."""
-    n = game.n
-    if n > 1:
-        for k in range(n):
-            if _same(game.betas[k], game.betas[(k + 1) % n]):
-                raise ConsecutiveRepeat(
-                    f"positions {k} and {(k + 1) % n} use the same ellipse"
-                )
+    repeats = _repeats(game.betas)
+    if repeats:
+        k, j = repeats[0]
+        raise ConsecutiveRepeat(f"positions {k} and {j} use the same ellipse")
     return compile_game(game)
 
 
@@ -285,10 +289,11 @@ def compile_general(game: OrderedGame) -> CompileReport:
 def leaf_count_bounds(game: OrderedGame) -> tuple[int, int, int]:
     """(lower, upper, s) with lower = 2n - 2s, upper = 2n, where s counts the
     ellipses nested inside both cyclic neighbours.  Repeat-free games only."""
+    repeats = _repeats(game.betas)
+    if repeats:
+        k, j = repeats[0]
+        raise ConsecutiveRepeat(f"positions {k} and {j} coincide")
     n = game.n
-    for k in range(n):
-        if n > 1 and _same(game.betas[k], game.betas[(k + 1) % n]):
-            raise ConsecutiveRepeat(f"positions {k} and {(k + 1) % n} coincide")
     s = sum(
         1
         for k in range(n)

@@ -81,15 +81,17 @@ class RegimeDescriptor:
     states: tuple[RegimeState, ...]
     orientation: int
     witness: PhaseState = field(compare=False, repr=False, default=None)
-    reflection_states: tuple[RegimeState, ...] = field(
-        compare=False, repr=False, default=()
-    )
+
+    @property
+    def reflection_states(self) -> tuple[RegimeState, ...]:
+        """The cycle's reflections from the same start, without crossings."""
+        return tuple(s for s in self.states if s.side is not EventSide.PASS_THROUGH)
 
     def key(self) -> tuple:
         return tuple(s.key() for s in self.states)
 
     def reflection_key(self, signed: bool) -> frozenset:
-        refl = [s for s in self.states if s.side is not EventSide.PASS_THROUGH]
+        refl = self.reflection_states
         if signed:
             return frozenset(s.key() for s in refl)
         return frozenset((s.ellipse, s.side.value, s.leaf_before, s.leaf_after) for s in refl)
@@ -179,106 +181,69 @@ def _transfer(
 def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
     """All Liouville tori at a regular caustic value, as symbolic cycles.
 
-    Each reachable reflection class is witnessed by one phase point and
-    advanced one reflection at a time; the cycles of this symbolic transfer
-    map are the connected components of the level set.
+    Each reflection state at lam that no regime holds yet seeds a walk: one
+    witness phase point advances a reflection at a time until the seed's
+    state comes back, and the states passed, with the crossings between
+    them, are one torus.  The transfer map must be a permutation of the
+    reflection states; a walk that meets a state of an earlier regime,
+    outgrows the state list or grazes a boundary raises TopologyError.  A
+    seed without a witness is skipped.
     """
-    fam = book.family
     levels = critical_levels(book)
     tol = _level_tolerance(book)
     if any(abs(lam - lv) < tol for lv in levels):
         raise CriticalLambda(f"lam={lam} is a critical level")
-    if lam < levels[0] or lam > fam.a:
+    if lam < levels[0] or lam > levels[-1]:
         raise CriticalLambda(f"lam={lam} is outside the dynamical range")
     below = max(lv for lv in levels if lv < lam)
     above = min(lv for lv in levels if lv > lam)
 
-    transfer_memo: dict[tuple, tuple] = {}
-    witness_of: dict[tuple, PhaseState] = {}
-
-    def do_transfer(st: RegimeState) -> tuple | None:
-        k = st.key()
-        if k in transfer_memo:
-            return transfer_memo[k]
-        w = witness_of.get(k)
-        if w is None:
-            w = _witness_state(book, lam, st)
-            if w is None:
-                return None
-            witness_of[k] = w
-        try:
-            nxt, crossings, nw = _transfer(book, lam, w)
-        except TangentialHit:  # pragma: no cover - lam is mid-interval
-            return None
-        witness_of.setdefault(nxt.key(), nw)
-        transfer_memo[k] = (nxt, crossings)
-        return transfer_memo[k]
-
+    seeds = _reflection_states(book, lam)
     assigned: set[tuple] = set()
     regimes: list[RegimeDescriptor] = []
-    for seed in _reflection_states(book, lam):
+    for seed in seeds:
         if seed.key() in assigned:
             continue
-        if do_transfer(seed) is None:
+        w = _witness_state(book, lam, seed)
+        if w is None:
+            log.debug("no witness for state %s", seed)
             continue
-        path: list[RegimeState] = []
-        path_pos: dict[tuple, int] = {}
-        path_cross: list[list[RegimeState]] = []
+        # (reflection state, its witness, crossings up to the next reflection)
+        walk: list[tuple[RegimeState, PhaseState, list[RegimeState]]] = []
         cur = seed
-        while True:
-            k = cur.key()
-            if k in assigned:
-                break  # merged into an already-built regime
-            if k in path_pos:
-                cut = path_pos[k]
-                cycle = path[cut:]
-                crossings = path_cross[cut:]
-                regimes.append(
-                    _build_regime(book, lam, (below, above), cycle, crossings, witness_of)
-                )
-                for st in cycle:
-                    assigned.add(st.key())
-                break
-            step_result = do_transfer(cur)
-            if step_result is None:
-                log.debug("dropping unrealizable state %s", cur)
-                break
-            path_pos[k] = len(path)
-            path.append(cur)
-            path_cross.append(step_result[1])
-            cur = step_result[0]
+        while not walk or cur.key() != seed.key():
+            if cur.key() in assigned or len(walk) == len(seeds):
+                raise TopologyError(f"transfer map at lam={lam} is not a permutation")
+            try:
+                nxt, passed, nw = _transfer(book, lam, w)
+            except TangentialHit as exc:
+                raise TopologyError(f"transfer at lam={lam} grazed a boundary: {exc}") from exc
+            walk.append((cur, w, passed))
+            cur, w = nxt, nw
+        regimes.append(_build_regime((below, above), walk))
+        assigned.update(st.key() for st, _, _ in walk)
     regimes.sort(key=lambda r: r.key())
     return regimes
 
 
 def _build_regime(
-    book: BilliardBook,
-    lam: float,
     interval: tuple[float, float],
-    cycle: list[RegimeState],
-    crossings: list[list[RegimeState]],
-    witness_of: dict[tuple, PhaseState],
+    walk: list[tuple[RegimeState, PhaseState, list[RegimeState]]],
 ) -> RegimeDescriptor:
     # Canonical rotation: start at the lexicographically least reflection.
-    def rotation(start: int) -> list[RegimeState]:
-        out: list[RegimeState] = []
-        m = len(cycle)
-        for i in range(m):
-            out.append(cycle[(start + i) % m])
-            out.extend(crossings[(start + i) % m])
-        return out
+    chunks = [(st, *passed) for st, _, passed in walk]
 
-    best_i = min(range(len(cycle)), key=lambda i: tuple(s.key() for s in rotation(i)))
-    states = tuple(rotation(best_i))
-    rolled = cycle[best_i:] + cycle[:best_i]
+    def rotation(start: int) -> tuple[RegimeState, ...]:
+        return tuple(s for chunk in chunks[start:] + chunks[:start] for s in chunk)
+
+    best_i = min(range(len(chunks)), key=lambda i: tuple(s.key() for s in rotation(i)))
+    states = rotation(best_i)
     # the common winding sign below b; the canonical half-plane label above it
-    orientation = rolled[0].sign
     return RegimeDescriptor(
         caustic_interval=interval,
         states=states,
-        orientation=orientation,
-        witness=witness_of[rolled[0].key()],
-        reflection_states=tuple(rolled),
+        orientation=states[0].sign,
+        witness=walk[best_i][1],
     )
 
 
@@ -505,46 +470,17 @@ class _Chain:
         self.hi_atom: int | None = None
 
 
-def _continue_regime(
-    book: BilliardBook,
-    regime: RegimeDescriptor,
-    lam_target: float,
-    above_index: dict[tuple, int],
-) -> int | None:
-    """Index of the regime continuing this one past a regular level, located
-    by re-aiming the stored witness at the new caustic value."""
-    fam = book.family
-    first = regime.reflection_states[0]
-    w = regime.witness
-    nx, ny = inward_normal(fam, first.ellipse, w.x, w.y)
-    d0 = w.vx * nx + w.vy * ny
-    best = None
-    best_dot = -2.0
-    for vx, vy in directions_with_caustic(fam, w.x, w.y, lam_target):
-        d = vx * nx + vy * ny
-        if abs(d) < 1e-9 or (d > 0.0) != (d0 > 0.0):
-            continue
-        if lam_target < fam.b and winding_sign(w.x, w.y, vx, vy) != regime.orientation:
-            continue
-        dot = vx * w.vx + vy * w.vy
-        if dot > best_dot:
-            best_dot = dot
-            best = (vx, vy)
-    if best is None:
-        return None
-    sign = _state_sign(book, lam_target, replace(w, vx=best[0], vy=best[1]))
-    return above_index.get(replace(first, sign=sign).key())
-
-
 def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
     """Assemble the atoms at every critical level and the torus families
     joining them.
 
-    Torus families (chains) extend across regular levels by continuation;
-    they start on A atoms where the boundary flow appears and terminate on
-    atoms at grazing-singular levels, at lam = b (matched to major-axis
-    bounce orbits by their reflection classes) and at lam = a (matched to
-    minor-axis orbits including the half-plane sign).
+    Torus families (chains) extend across consistent leaf-boundary levels
+    by reflection state: below b a family keeps its winding sign, so it
+    continues as the regime of the next band that holds its first
+    reflection state.  Families start on A atoms where the boundary flow
+    appears and terminate on atoms at grazing-singular levels, at lam = b
+    (matched to major-axis bounce orbits by their reflection classes) and at
+    lam = a (matched to minor-axis orbits including the half-plane sign).
     """
     fam = book.family
     levels = critical_levels(book)
@@ -585,7 +521,7 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
             }
             used: set[int] = set()
             for chain in open_chains:
-                ridx = _continue_regime(book, chain.regime, mids[k], above_index)
+                ridx = above_index.get(chain.regime.reflection_states[0].key())
                 if ridx is None or ridx in used:
                     add_atom(_atom(e, 0, 1, "unmatched continuation"), ins=[chain])
                     continue

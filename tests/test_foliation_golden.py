@@ -6,6 +6,13 @@ it was before the atom assembly in ``topology.build_fomenko_graph`` was
 rewritten around one atom table; a change that alters any of them changes
 the graph, not only how it is built.
 
+DOT text does not show which regime an edge carries (``chain_five`` and
+``three_sheets`` share one DOT hash), so the regime hashes cover each edge's
+endpoints, interval, regime key and orientation.  They were recorded the
+same way, on the library as it was before ``enumerate_regimes`` became one
+transfer walk per seed and torus families were continued by reflection
+state.
+
 ROADMAP item 1 (atom assembly at grazing levels) will change some rows on
 purpose: compiled books whose graphs have ``Unknown`` atoms at a glued
 ellipse.  That change must list each row it alters, with the reason.
@@ -80,9 +87,78 @@ COMPILED_HASHES = [
      '35d1b2c135f5157fedba60a0094dbe8b9d1768ce3895406347febf1c3ccffc8c'),
 ]
 
+CATALOG_REGIME_HASHES = {
+    "annulus_two_disks": "180a31bcf86db80cde55f180fb72f0e7423ed0bb6f36d0e77a147cbfca3e6e0f",
+    "chain_five": "6e9927694b752ef14d9fc0146cf03436dbf7c3dd4e1a4142cb016fa2ebd06077",
+    "chain_five_inverted": "a92b4704aa08dccf21cdd62d3057feb7f4bc0af2fc7c4f57ca39fc6b8ca7b9a9",
+    "chain_six": "d303953c65a309f27ddbf4220a72dab86ac652bf2d58bddf0c9a8c5705e2b7d5",
+    "four_sheets": "538a04adb1f3bd8bb7c2970b9ec42183fe27adc0b8701700851b84024137b4bf",
+    "four_sheets_inverted": "f9f33547a3863d37b866476ebafc22deb62faf873f0b6e6a969c4f9b12f65217",
+    "three_sheets": "77f748cef108bcca342789e74be9763b3d7f21611ce52f5e0541f92b754d43af",
+    "three_sheets_inverted": "27632285c8d06287436dab9fb68f5da34b161a3cfeac15aa9a59ec7574d53f9a",
+    "two_annuli": "b6167d72396340e76c2ac44f0c0434135640d0bb1d2f02f9d899ae9a5f81f682",
+    "two_annuli_disk_pair": "8c7cc0ae4e9294633231c7b68ee2882c1bf3dadf4c75fe1e3a71d6ff27977d0d",
+    "two_annuli_two_disks": "084cefcf794ecff3de4b7256f2bcd2bc8e452a879bff8ae7b950fd90691da029",
+}
+
+COMPILED_REGIME_HASHES = [
+    ((3.2, 1.6), (-1, 1),
+     '81c71d584404845f7c1f291f15750216d31acf6509fa01b441f17142beb984a7'),
+    ((0.8, 0.0), (-1, 1),
+     '6e3a14cc1667c88f28790e044f866711b54e93676c2ec050a43cd51cfde2e0b8'),
+    ((0.0, 3.2), (1, 1),
+     '782aab155a94325e3833ae38dcd7f61b9381a792a83a9719ff5bef4e3bea4558'),
+    ((1.6, 2.4, 3.2), (1, 1, 1),
+     '3f2020814dde76bc77a123b4042c7d766c73aac0b96226197b55f3790bb0c81e'),
+    ((2.4, 1.6, 3.2), (1, 1, 1),
+     '69e1cb0b3cb1e315e0d6f40e6f0bfdd1b24159993e653583b20710f8dd5ac0ce'),
+    ((2.4, 0.0, 1.6), (-1, 1, 1),
+     'fb8bf9c678565010f546f9135498a19d2c2efe80bebbeccc9cc728276e5a3e47'),
+    ((1.6, 0.0, 1.6, 0.8), (-1, 1, -1, 1),
+     '5bc3aea0beb527f71387b16b8e9ef552251cec0d93adf0a55447b5298414e5e0'),
+    ((2.4, 0.8, 2.4, 3.2), (1, 1, 1, 1),
+     '004afb3ce819fcadbf7633208d82e0ce49de4ef79ab156be3102fa27ec3baa6d'),
+    ((2.4, 3.2, 1.6, 3.2), (1, -1, 1, -1),
+     '404e48cdc1392230f1aba418fb8c9b8cbccdc0724cd095372c6498272e3b0f48'),
+    ((2.4, 1.6, 2.4, 3.2, 1.6), (-1, 1, 1, -1, 1),
+     '75c42595b56cee80bb01eecc850407f8d12a1f887f6cf7462b34c460a5616a71'),
+    ((2.4, 3.2, 0.0, 3.2, 1.6), (1, 1, 1, -1, 1),
+     'd7a1f834389d6d0afbd8cbea5ded1af2747c15aa1b4a439c2cfb56c464390a1b'),
+    ((2.4, 0.8, 1.6, 3.2, 0.8), (1, 1, 1, -1, 1),
+     'edcfc3097244831b97c282b522b074ef8d0fa8583d625c6a839b229925b62c17'),
+    ((0.8, 3.2, 2.4, 0.0, 0.8, 2.4), (1, -1, 1, 1, 1, -1),
+     'c5ede6ab5a1f44a278fb7b5fe2ccdc72da012e5399ce95e60c23308998ee4e07'),
+    ((0.8, 3.2, 2.4, 1.6, 0.0, 3.2), (1, -1, 1, 1, 1, -1),
+     '8cbee434036605469d05bef28b6383157a454a699a58a8a8192f94664b115448'),
+    ((0.0, 3.2, 0.0, 2.4, 1.6, 3.2), (1, 1, 1, -1, 1, 1),
+     '1c3bb24e4285e871b40389b49b0c6c0906451157fc77c953ac2057e93a36ab14'),
+    ((0.8, 0.0, 1.6, 2.4, 0.0, 2.4, 1.6), (1, 1, 1, 1, 1, -1, 1),
+     'ec1b5c2894f5e05ff03b7c32d25d4bb4e3b924801764fa2582431dc3b4d59342'),
+    ((1.6, 3.2, 0.0, 1.6, 0.0, 1.6, 3.2), (1, 1, 1, 1, 1, 1, -1),
+     '21907776248d348bbf2bcf77552553be48517550734efbb8c03889b0d3b45b32'),
+    ((0.8, 3.2, 0.0, 1.6, 0.8, 2.4, 1.6), (1, 1, 1, -1, 1, 1, 1),
+     '857d26ec1c7b947a675fa1b46d1a3a0b495cd1b718b84826f54cf6e49451c79d'),
+    ((2.4, 3.2, 2.4, 1.6, 3.2, 2.4, 0.0, 0.8), (1, 1, 1, 1, 1, 1, 1, 1),
+     '1988ae6e3a326da003fa2f9ba97d05e408615d595232d6f391c8655533b1bc07'),
+    ((3.2, 0.8, 0.0, 2.4, 3.2, 0.8, 3.2, 0.8), (-1, 1, 1, 1, -1, 1, 1, 1),
+     '607eb6c120cea106937452026206b2816239a03196ebf3f1259bca5608bb56f5'),
+    ((3.2, 0.0, 3.2, 2.4, 0.8, 1.6, 2.4, 1.6), (1, 1, -1, 1, 1, 1, 1, 1),
+     '2ed62b25e57120dc0b530bd141f8119888e860003083f235ba62c8a98a0bd842'),
+]
+
 
 def _dot_hash(book) -> str:
     return hashlib.sha256(to_dot(build_fomenko_graph(book)).encode()).hexdigest()
+
+
+def _regime_hash(book) -> str:
+    """sha256 of each edge's endpoints, caustic interval, regime key and
+    orientation, in edge order: what the DOT text leaves out."""
+    rows = [
+        (i, j, r.caustic_interval, r.key(), r.orientation)
+        for i, j, r in build_fomenko_graph(book).edges
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
 
 
 def compiled_books():
@@ -105,3 +181,13 @@ def test_catalog_graph_unchanged(name):
 def test_compiled_graphs_unchanged():
     got = [(g.betas, g.signature, _dot_hash(book)) for g, book in compiled_books()]
     assert got == COMPILED_HASHES
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_regimes_unchanged(name):
+    assert _regime_hash(CATALOG[name]()) == CATALOG_REGIME_HASHES[name]
+
+
+def test_compiled_regimes_unchanged():
+    got = [(g.betas, g.signature, _regime_hash(book)) for g, book in compiled_books()]
+    assert got == COMPILED_REGIME_HASHES

@@ -20,8 +20,9 @@ from billiard_books import (
     simulate,
     to_dot,
 )
+from billiard_books import topology
 from billiard_books.catalog import FIXTURE_FAMILY
-from billiard_books.dynamics import EventSide
+from billiard_books.dynamics import EventSide, TangentialHit
 from billiard_books.topology import ATOM_EDGE_CAPACITY, FomenkoGraph, TopologyError
 
 from _refs import (
@@ -54,6 +55,33 @@ def test_enumerate_rejects_critical_values(books):
         enumerate_regimes(books["annulus_two_disks"], 2.0)
     with pytest.raises(CriticalLambda):
         enumerate_regimes(books["annulus_two_disks"], -0.5)
+
+
+@pytest.mark.parametrize("target", [0, 1])
+def test_enumerate_regimes_refuses_non_permutation(books, monkeypatch, target):
+    # a transfer map sending every reflection state to one state is not a
+    # permutation: with target 0 a later walk meets an assigned state, with
+    # target 1 the first walk never returns to its seed
+    book = books["annulus_two_disks"]
+    real = topology._transfer
+    into = topology._reflection_states(book, 1.0)[target]
+
+    def collapsing(book_, lam, witness):
+        _, crossings, nxt = real(book_, lam, witness)
+        return into, crossings, nxt
+
+    monkeypatch.setattr(topology, "_transfer", collapsing)
+    with pytest.raises(TopologyError, match=r"lam=1\.0"):
+        enumerate_regimes(book, 1.0)
+
+
+def test_enumerate_regimes_refuses_tangential_transfer(books, monkeypatch):
+    def tangential(book_, lam, witness):
+        raise TangentialHit(2.0, witness.x, witness.y, 0.0)
+
+    monkeypatch.setattr(topology, "_transfer", tangential)
+    with pytest.raises(TopologyError, match=r"lam=1\.0"):
+        enumerate_regimes(books["annulus_two_disks"], 1.0)
 
 
 def test_regimes_locally_constant(books):
@@ -343,8 +371,8 @@ def test_to_dot_ignores_atom_order(betas, signature):
 
 def test_random_books_conserve_regimes_and_fill_atoms(family):
     # every regime of every band is carried by exactly one edge whose
-    # interval covers the band, and every classified atom has as many edges
-    # as its type holds
+    # interval covers the band, the band's regimes split its reflection
+    # states, and every classified atom has as many edges as its type holds
     rng = np.random.default_rng(3)
     for _ in range(40):
         game = random_valid_game(family, rng, int(rng.integers(2, 9)))
@@ -352,7 +380,11 @@ def test_random_books_conserve_regimes_and_fill_atoms(family):
         graph = build_fomenko_graph(book)
         levels = critical_levels(book)
         for lo, hi in zip(levels, levels[1:]):
-            keys = [r.key() for r in enumerate_regimes(book, (lo + hi) / 2)]
+            regimes = enumerate_regimes(book, (lo + hi) / 2)
+            states = [s.key() for r in regimes for s in r.reflection_states]
+            every = [s.key() for s in topology._reflection_states(book, (lo + hi) / 2)]
+            assert sorted(states) == sorted(every), (game, lo)
+            keys = [r.key() for r in regimes]
             covering = [
                 r for _, _, r in graph.edges
                 if r.caustic_interval[0] <= lo and hi <= r.caustic_interval[1]
