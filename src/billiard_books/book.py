@@ -126,6 +126,11 @@ class BilliardBook:
     leaves: tuple[Leaf, ...]
     gluings: tuple[GluingPermutation, ...] = ()
     _by_id: dict[int, Leaf] = field(init=False, repr=False, compare=False, hash=False)
+    # (leaf id, boundary parameter) -> dynamics.transition's answer, filled
+    # one key at a time by dynamics.step
+    _transitions: dict[tuple[int, float], tuple] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_id", {lf.id: lf for lf in self.leaves})

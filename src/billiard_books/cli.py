@@ -26,7 +26,7 @@ from .dynamics import (
     STATUS_OK,
     save_trajectory_csv,
     simulate,
-    trace_to_game,
+    trace_to_game,  # noqa: F401  hooked by perfbench/spans.py
 )
 from .games import (
     ConsecutiveRepeat,
@@ -196,8 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if state is None:
             print(f"sample {i}: no admissible start found", file=sys.stderr)
             return EXIT_MISMATCH
-        traj = simulate(book, state, max_events=need * 4 + 8)
-        trace = trace_to_game(traj)
+        trace = games_mod.sample_trace(book, state, need)
         for j in range(need):
             if j >= len(trace):
                 print(f"sample {i}: trace ended after {len(trace)} reflections", file=sys.stderr)

@@ -15,6 +15,8 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import islice
+from typing import Iterator
 
 from . import conics
 from .book import BilliardBook, Leaf, Side, boundary_side, glued_return_leaf, invert_gluings
@@ -142,7 +144,8 @@ def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, 
 
 def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryEvent]:
     """Advance to the nearest boundary of the current leaf and apply the
-    transition rule there.
+    transition rule there, read from the book's table of ``transition``
+    answers (a missing key is computed once and stored).
 
     Raises TangentialHit when the selected hit grazes the boundary (the
     caller decides whether the flow extends) and EscapedLeaf when the ray
@@ -179,7 +182,10 @@ def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryE
         raise TangentialHit(e, hx, hy, t)
     hx, hy = project_to_conic(fam, e, hx, hy)
 
-    rule, event_side, leaf_after = transition(book, leaf.id, e)
+    known = book._transitions
+    if (leaf.id, e) not in known:
+        known[leaf.id, e] = transition(book, leaf.id, e)
+    rule, event_side, leaf_after = known[leaf.id, e]
     if rule is Rule.R3:
         n = math.hypot(state.vx, state.vy)
         vx, vy = state.vx / n, state.vy / n
@@ -189,34 +195,31 @@ def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryE
     return PhaseState(hx, hy, vx, vy, leaf_after), event
 
 
-def simulate(
-    book: BilliardBook, state: PhaseState, max_events: int = MAX_EVENTS_DEFAULT
-) -> Trajectory:
-    """Run up to ``max_events`` boundary events.
+def flow(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
+    """The boundary events of the flow from ``state``, one at a time.
 
-    A grazing hit on a glued ellipse continues straight (recorded as a
-    crossing) when the gluing chain returns to the same leaf, and otherwise
-    ends the trajectory with SingularLevelHit status.
+    The state after an event is (x, y, vx, vy, leaf_after) of that event.  A
+    grazing hit on a glued ellipse continues straight (recorded as a
+    crossing) when the gluing chain returns to the same leaf; otherwise the
+    flow has reached a singular level and the iterator ends.  A start
+    outside its leaf raises EscapedLeaf here, before any event is asked for.
     """
-    fam = book.family
     if not contains(book, book.leaf(state.leaf_id), state.x, state.y):
         raise EscapedLeaf(
             f"initial position ({state.x:.6g}, {state.y:.6g}) is not in leaf {state.leaf_id}"
         )
-    caustic0 = caustic_parameter(fam, state.x, state.y, state.vx, state.vy)
-    events: list[TrajectoryEvent] = []
-    drift = 0.0
-    status = STATUS_OK
-    cur = state
-    while len(events) < max_events:
+    return _flow(book, state)
+
+
+def _flow(book: BilliardBook, cur: PhaseState) -> Iterator[TrajectoryEvent]:
+    while True:
         try:
             cur, ev = step(book, cur)
         except TangentialHit as hit:
             ret = glued_return_leaf(book, hit.ellipse, cur.leaf_id)
             if ret is not None and ret != cur.leaf_id:
-                status = STATUS_SINGULAR
-                break
-            hx, hy = project_to_conic(fam, hit.ellipse, hit.x, hit.y)
+                return
+            hx, hy = project_to_conic(book.family, hit.ellipse, hit.x, hit.y)
             ev = TrajectoryEvent(
                 hx,
                 hy,
@@ -229,11 +232,31 @@ def simulate(
                 cur.vy,
             )
             cur = PhaseState(hx, hy, cur.vx, cur.vy, cur.leaf_id)
-        events.append(ev)
-        drift = max(
-            drift, abs(caustic_parameter(fam, cur.x, cur.y, cur.vx, cur.vy) - caustic0)
-        )
-    return Trajectory(state, events, cur, caustic0, drift, status)
+        yield ev
+
+
+def simulate(
+    book: BilliardBook, state: PhaseState, max_events: int = MAX_EVENTS_DEFAULT
+) -> Trajectory:
+    """The first ``max_events`` events of ``flow(book, state)``.
+
+    The status is SingularLevelHit exactly when the flow ended on a
+    singular level before ``max_events`` events; ``final`` is the state
+    after the last event, or ``state`` when there is none.
+    """
+    fam = book.family
+    events_from = flow(book, state)
+    caustic0 = caustic_parameter(fam, state.x, state.y, state.vx, state.vy)
+    events = list(islice(events_from, max(max_events, 0)))
+    drift = 0.0
+    for ev in events:
+        drift = max(drift, abs(caustic_parameter(fam, ev.x, ev.y, ev.vx, ev.vy) - caustic0))
+    final = state
+    if events:
+        last = events[-1]
+        final = PhaseState(last.x, last.y, last.vx, last.vy, last.leaf_after)
+    status = STATUS_SINGULAR if len(events) < max_events else STATUS_OK
+    return Trajectory(state, events, final, caustic0, drift, status)
 
 
 def time_reversed_start(book: BilliardBook, traj: Trajectory) -> PhaseState:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -22,8 +23,8 @@ from .book import (
     Leaf,
 )
 from .conics import ConfocalFamily, directions_with_caustic
-from .dynamics import PhaseState, TangentialHit, simulate, step, trace_to_game
-from .dynamics import EventSide
+from .dynamics import EventSide, PhaseState, TangentialHit, flow, step
+from .dynamics import simulate, trace_to_game  # noqa: F401  hooked by perfbench/spans.py
 
 BETA_TOL = 1e-12
 _VERIFY_CYCLES = 5  # game periods each verification sample must repeat
@@ -187,6 +188,8 @@ def compile_game(game: OrderedGame) -> CompileReport:
     reflections glue the two adjacent annuli directly.
     """
     n = game.n
+    if len(game.signature) != n:
+        raise InvalidGame(validate_game(game))
     for k, j in _repeats(game.betas):
         if game.signature[k] == -1 or game.signature[j] == -1:
             raise RepeatWithOutside(
@@ -352,14 +355,32 @@ def expected_trace(game: OrderedGame) -> list[tuple[float, EventSide]]:
     ]
 
 
+def sample_trace(
+    book: BilliardBook, state: PhaseState, need: int
+) -> list[tuple[float, EventSide]]:
+    """The first ``need`` reflections (ellipse, side) of the flow from
+    ``state``, read from at most 4·need + 8 events; fewer when the flow ends
+    on a singular level or crosses too often before the last of them.  No
+    event after the ``need``-th reflection is computed."""
+    trace: list[tuple[float, EventSide]] = []
+    for ev in islice(flow(book, state), 4 * need + 8):
+        if ev.is_reflection:
+            trace.append((ev.ellipse, ev.side))
+            if len(trace) == need:
+                break
+    return trace
+
+
 def verify_realization(
     report: CompileReport,
     samples: int,
     seed: int = 0,
 ) -> list[tuple[int, int]]:
     """Check that traces from admissible starts repeat the game's reflection
-    sequence _VERIFY_CYCLES times.  Returns (sample, first divergent
-    reflection index) failures; empty list means every sample matched."""
+    sequence _VERIFY_CYCLES times, each read by ``sample_trace``.  Returns
+    (sample, first divergent reflection index) failures, or (sample, number
+    of reflections read) for a trace that ended short; an empty list means
+    every sample matched."""
     game = report.game
     fam = game.family
     n = game.n
@@ -378,8 +399,7 @@ def verify_realization(
             margin = 0.02 * (e_hi - e_lo)
             caustic = rng.uniform(e_lo + margin, e_hi - margin)
         state = admissible_start(report, caustic, seed=int(rng.integers(1 << 62)))
-        traj = simulate(report.book, state, max_events=need * 4 + 8)
-        trace = trace_to_game(traj)
+        trace = sample_trace(report.book, state, need)
         if len(trace) < need:
             failures.append((i, len(trace)))
             continue

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from billiard_books import (
     EventSide,
@@ -13,8 +15,16 @@ from billiard_books import (
     trace_to_game,
     trajectory_csv,
 )
+from billiard_books.catalog import CATALOG
 from billiard_books.conics import directions_with_caustic
-from billiard_books.dynamics import STATUS_OK, STATUS_SINGULAR, time_reversed_start
+from billiard_books.dynamics import (
+    STATUS_OK,
+    STATUS_SINGULAR,
+    EscapedLeaf,
+    flow,
+    time_reversed_start,
+    transition,
+)
 from conftest import random_state, rng_for
 
 
@@ -251,6 +261,44 @@ def test_grazing_singular_when_chain_crosses(books):
     traj = simulate(books["two_annuli_two_disks"], tangent_start(), max_events=10)
     assert traj.status == STATUS_SINGULAR
     assert traj.events == []
+
+
+# --- simulate as a prefix of the event flow ---------------------------------
+
+def post_state(ev):
+    return PhaseState(ev.x, ev.y, ev.vx, ev.vy, ev.leaf_after)
+
+
+# a start is (book name, seed of a random state), or a grazing start (seed
+# None) that continues on annulus_two_disks and is singular on two_annuli_two_disks
+STARTS = st.one_of(
+    st.tuples(st.sampled_from(sorted(CATALOG)), st.integers(0, 2**32 - 1)),
+    st.tuples(st.sampled_from(["annulus_two_disks", "two_annuli_two_disks"]), st.none()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(start=STARTS, m=st.integers(0, 40), more=st.integers(1, 40))
+def test_simulate_is_a_prefix_of_the_flow(books, start, m, more):
+    name, seed = start
+    book = books[name]
+    state = tangent_start() if seed is None else random_state(book, rng_for(seed))
+    short = simulate(book, state, max_events=m)
+    long = simulate(book, state, max_events=m + more)
+    assert long.events[: len(short.events)] == short.events
+    for traj, cap in ((short, m), (long, m + more)):
+        assert traj.initial == state
+        assert traj.final == (post_state(traj.events[-1]) if traj.events else state)
+        assert (traj.status == STATUS_SINGULAR) == (len(traj.events) < cap)
+    # the table step reads holds transition's answer at every key it learned
+    for (leaf_id, e), entry in book._transitions.items():
+        assert e in book.leaf(leaf_id).boundary_params()
+        assert entry == transition(book, leaf_id, e)
+    outside = PhaseState(100.0, 0.0, 1.0, 0.0, book.leaves[0].id)
+    with pytest.raises(EscapedLeaf):
+        simulate(book, outside, max_events=0)
+    with pytest.raises(EscapedLeaf):
+        flow(book, outside)
 
 
 # --- CSV ---------------------------------------------------------------------

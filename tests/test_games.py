@@ -1,4 +1,6 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,16 +13,21 @@ from billiard_books import (
     OrderedGame,
     RepeatWithOutside,
     admissible_start,
+    ConfocalFamily,
+    GluingPermutation,
     compile_general,
     compile_simple,
     invert_gluings,
     leaf_count_bounds,
     normalize_game,
+    save_book,
     simulate,
     trace_to_game,
     validate_game,
     verify_realization,
 )
+from billiard_books import dynamics, games
+from billiard_books.cli import main
 from billiard_books.games import admissible_caustic_range
 
 
@@ -146,6 +153,17 @@ def test_compile_rejects_constant_game(family):
         compile_general(game(family, (2.0, 2.0), (1, 1)))
 
 
+def test_compile_refuses_length_mismatch_before_scanning_repeats():
+    # the repeat at positions 0, 1 once read signature[1] and raised IndexError
+    fam = ConfocalFamily(9, 4)
+    with pytest.raises(InvalidGame) as err:
+        compile_general(game(fam, (0.0, 0.0, 2.0), (1,)))
+    assert codes(err.value.violations) == ["LengthMismatch"]
+    with pytest.raises(InvalidGame) as simple:
+        compile_simple(game(fam, (0.0, 2.0, 3.0), (1,)))
+    assert codes(simple.value.violations) == ["LengthMismatch"]
+
+
 def test_compile_single_reflection(family):
     rep = compile_simple(game(family, (2.0,), (1,)))
     assert rep.leaf_count == 1 and rep.book.leaves[0].is_disk
@@ -256,3 +274,100 @@ def test_first_reflection_is_on_first_ellipse(family):
     traj = simulate(rep.book, st, max_events=30)
     trace = trace_to_game(traj)
     assert trace[0] == (0.0, EventSide.FROM_INSIDE)
+
+
+# --- verification reads only the reflections it compares ----------------------
+
+def full_run_trace(book, state, need):
+    """The sample trace as read before verification stopped early: the whole
+    event budget simulated, then cut to the reflections compared."""
+    return trace_to_game(simulate(book, state, max_events=4 * need + 8))[:need]
+
+
+def permute_one_gluing(book, rng):
+    gluings = list(book.gluings)
+    i = int(rng.integers(len(gluings)))
+    ids = book.leaf_ids_on_ellipse(gluings[i].ellipse)
+    images = [int(x) for x in rng.permutation(ids)]
+    gluings[i] = GluingPermutation(gluings[i].ellipse, dict(zip(ids, images)))
+    return replace(book, gluings=tuple(gluings))
+
+
+def write_verify_inputs(tmp_path, rep, g):
+    book = str(tmp_path / "book.json")
+    save_book(rep.book, book)
+    path = tmp_path / "game.json"
+    fam = {"a": g.family.a, "b": g.family.b}
+    path.write_text(json.dumps({"family": fam, "betas": g.betas, "signature": g.signature}))
+    return book, str(path)
+
+
+def test_verification_matches_full_length_runs(family, monkeypatch, tmp_path, capsys):
+    sample_trace = games.sample_trace
+
+    def oracle(book, state, need):
+        old = full_run_trace(book, state, need)
+        assert sample_trace(book, state, need) == old
+        return old
+
+    rng = np.random.default_rng(20)
+    rejected = []
+    for k in range(22):
+        g = random_valid_game(family, rng, 2 + k // 2)  # n = 2..12, twice each
+        rep = compile_simple(g)
+        if k % 2:
+            rep = replace(rep, book=permute_one_gluing(rep.book, rng))
+        seed = int(rng.integers(1 << 32))
+        got = verify_realization(rep, samples=4, seed=seed)
+        with monkeypatch.context() as mp:
+            mp.setattr(games, "sample_trace", oracle)
+            assert verify_realization(rep, samples=4, seed=seed) == got
+        if got:
+            rejected.append((rep, g))
+    assert 0 < len(rejected) < 22
+
+    # cli verify reads its samples the same way; it loads the book from JSON,
+    # where a gluing's fixed points are not written, so take a book without one
+    saveable = [
+        (rep, g)
+        for rep, g in rejected
+        if all(gl.image(i) != i for gl in rep.book.gluings for i in gl.mapping)
+    ]
+    book, game_file = write_verify_inputs(tmp_path, *saveable[0])
+    args = ["verify", book, game_file, "--samples", "6", "--seed", "1"]
+    code = main(args)
+    err = capsys.readouterr().err
+    with monkeypatch.context() as mp:
+        mp.setattr(games, "sample_trace", oracle)
+        assert main(args) == code == 6
+    assert capsys.readouterr().err == err
+
+
+def test_verification_steps_only_to_the_last_reflection_read(family, monkeypatch):
+    rep = compile_simple(game(family, (0.0, 2.0, 0.0, 3.5), (1, -1, 1, 1)))
+    need = 5 * rep.game.n
+    starts = []
+    real_start, real_step = games.admissible_start, dynamics.step
+
+    def recorded_start(*args, **kwargs):
+        starts.append(real_start(*args, **kwargs))
+        return starts[-1]
+
+    steps = []
+
+    def counted_step(*args):
+        steps.append(1)
+        return real_step(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(games, "admissible_start", recorded_start)
+        mp.setattr(dynamics, "step", counted_step)
+        assert verify_realization(rep, samples=6, seed=2) == []
+    # the 1-based event index of each sample's need-th reflection
+    last_read = [
+        [i for i, ev in enumerate(simulate(rep.book, st, 4 * need + 8).events, 1)
+         if ev.is_reflection][need - 1]
+        for st in starts
+    ]
+    assert len(starts) == 6
+    assert len(steps) == sum(last_read) < 6 * (4 * need + 8)
