@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .conics import ConfocalFamily
@@ -127,7 +128,7 @@ class BilliardBook:
     gluings: tuple[GluingPermutation, ...] = ()
     _by_id: dict[int, Leaf] = field(init=False, repr=False, compare=False, hash=False)
     # (leaf id, boundary parameter) -> dynamics.transition's answer, filled
-    # one key at a time by dynamics.step
+    # one key at a time by transition
     _transitions: dict[tuple[int, float], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
@@ -153,12 +154,15 @@ class BilliardBook:
 
     def boundary_values(self) -> list[float]:
         """Distinct boundary parameters over all leaves, ascending."""
+        return list(self._boundary_values)
+
+    @cached_property
+    def _boundary_values(self) -> tuple[float, ...]:
         vals: list[float] = []
-        for lf in self.leaves:
-            for p in lf.boundary_params():
-                if all(abs(p - q) > PARAM_TOL for q in vals):
-                    vals.append(p)
-        return sorted(vals)
+        for p in dict.fromkeys(p for lf in self.leaves for p in lf.boundary_params()):
+            if all(abs(p - q) > PARAM_TOL for q in vals):  # exact repeats are gone already
+                vals.append(p)
+        return tuple(sorted(vals))
 
 
 def make_book(
@@ -267,10 +271,11 @@ def book_to_dict(book: BilliardBook) -> dict:
             leaves.append({"id": lf.id, "disk": lf.outer})
         else:
             leaves.append({"id": lf.id, "annulus": [lf.outer, lf.inner]})
-    gluings = [
-        {"ellipse": g.ellipse, "cycles": g.cycles()}
-        for g in sorted(book.gluings, key=lambda g: g.ellipse)
-    ]
+    gluings = []
+    for g in sorted(book.gluings, key=lambda g: g.ellipse):
+        # a fixed point is written as a 1-cycle, or the loaded gluing would miss it
+        fixed = [[k] for k, v in g.mapping.items() if k == v]
+        gluings.append({"ellipse": g.ellipse, "cycles": sorted(g.cycles() + fixed)})
     return {
         "family": {"a": book.family.a, "b": book.family.b},
         "leaves": leaves,

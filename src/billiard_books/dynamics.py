@@ -129,23 +129,28 @@ def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, 
     R1 when the ellipse is unglued there or the gluing fixes the leaf, R2
     when the image leaf sits on the same side of the ellipse, R3 (a
     pass-through) when it sits on the opposite side.  This is the only
-    place a gluing is read to decide the rule.
+    place a gluing is read to decide the rule; each answer is kept in the
+    book's table, so a bad gluing raises every time it is met.
     """
-    side_here = boundary_side(book.leaf(leaf_id), ellipse)
-    side = EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE
-    gluing = book.gluing_for(ellipse)
-    image = leaf_id if gluing is None else gluing.image(leaf_id)
-    if image == leaf_id:
-        return Rule.R1, side, leaf_id
-    if boundary_side(book.leaf(image), ellipse) is side_here:
-        return Rule.R2, side, image
-    return Rule.R3, EventSide.PASS_THROUGH, image
+    known = book._transitions.get((leaf_id, ellipse))
+    if known is None:
+        side_here = boundary_side(book.leaf(leaf_id), ellipse)
+        side = EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE
+        gluing = book.gluing_for(ellipse)
+        image = leaf_id if gluing is None else gluing.image(leaf_id)
+        if image == leaf_id:
+            known = Rule.R1, side, leaf_id
+        elif boundary_side(book.leaf(image), ellipse) is side_here:
+            known = Rule.R2, side, image
+        else:
+            known = Rule.R3, EventSide.PASS_THROUGH, image
+        book._transitions[leaf_id, ellipse] = known
+    return known
 
 
 def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryEvent]:
     """Advance to the nearest boundary of the current leaf and apply the
-    transition rule there, read from the book's table of ``transition``
-    answers (a missing key is computed once and stored).
+    ``transition`` rule there.
 
     Raises TangentialHit when the selected hit grazes the boundary (the
     caller decides whether the flow extends) and EscapedLeaf when the ray
@@ -182,10 +187,7 @@ def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryE
         raise TangentialHit(e, hx, hy, t)
     hx, hy = project_to_conic(fam, e, hx, hy)
 
-    known = book._transitions
-    if (leaf.id, e) not in known:
-        known[leaf.id, e] = transition(book, leaf.id, e)
-    rule, event_side, leaf_after = known[leaf.id, e]
+    rule, event_side, leaf_after = transition(book, leaf.id, e)
     if rule is Rule.R3:
         n = math.hypot(state.vx, state.vy)
         vx, vy = state.vx / n, state.vy / n

@@ -13,24 +13,20 @@ torus families describes the foliation.
 
 from __future__ import annotations
 
-import logging
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .book import BilliardBook, Side, boundary_side, glued_return_leaf
-from .conics import directions_with_caustic, inward_normal, winding_sign
-from .dynamics import EventSide, PhaseState, Rule, TangentialHit, step, transition
-
-log = logging.getLogger(__name__)
+from .conics import inward_normal
+from .conics import directions_with_caustic, winding_sign  # noqa: F401  perfbench hooks them here
+from .dynamics import EventSide, PhaseState, Rule, step, transition
 
 # atom type -> (critical circles, edges, separatrices)
 ATOMS = {"A": (1, 1, 0), "B": (1, 3, 2), "C2": (2, 4, 4)}
 ATOM_EDGE_CAPACITY = {typ: edges for typ, (_, edges, _) in ATOMS.items()}
 
-_WITNESS_ANGLES = (0.9, 2.2, 4.0, 5.3, 1.5, 3.3, 0.3, 2.8, 4.7, 5.9)
-_WITNESS_FRACTIONS = (0.35, -0.45, 0.7, -0.15, 0.55, -0.75, 0.1, -0.6, 0.85, -0.3)
 # how far inside the ellipse, in units of sqrt(a), a grazing probe starts
 _PROBE_DEPTH = 1e-7
 
@@ -74,13 +70,14 @@ class RegimeState:
 
 @dataclass
 class RegimeDescriptor:
-    """One Liouville torus: a caustic interval, the symbolic event cycle all
-    of its trajectories follow, and an orientation marker."""
+    """One Liouville torus: a caustic interval and the symbolic event cycle
+    all of its trajectories follow, rotated to start at its least
+    reflection, with that reflection's sign as the orientation marker (the
+    winding direction below b, the half-plane label above it)."""
 
     caustic_interval: tuple[float, float]
     states: tuple[RegimeState, ...]
     orientation: int
-    witness: PhaseState = field(compare=False, repr=False, default=None)
 
     @property
     def reflection_states(self) -> tuple[RegimeState, ...]:
@@ -112,82 +109,58 @@ def _reflection_states(book: BilliardBook, lam: float) -> list[RegimeState]:
     it lies strictly inside it."""
     hyper = lam > book.family.b
     out: list[RegimeState] = []
-    for e in book.boundary_values():
-        if not hyper and lam <= e:
-            continue
-        for lid in sorted(book.leaf_ids_on_ellipse(e)):
-            rule, side, after = transition(book, lid, e)
-            if rule is not Rule.R3:
-                out.extend(RegimeState(e, side, lid, after, sign) for sign in (1, -1))
+    for lf in book.leaves:
+        for e in lf.boundary_params():
+            if hyper or e < lam:
+                rule, side, after = transition(book, lf.id, e)
+                if rule is not Rule.R3:
+                    out.extend(RegimeState(e, side, lf.id, after, sign) for sign in (1, -1))
     return out
 
 
-def _witness_state(book: BilliardBook, lam: float, state: RegimeState) -> PhaseState | None:
-    """Phase point realizing a post-reflection state, or None when no
-    sampled boundary point admits one."""
-    fam = book.family
-    hyper = lam > fam.b
-    e = state.ellipse
-    want_inward = state.side is EventSide.FROM_INSIDE
-    points: list[tuple[float, float]] = []
-    if hyper:
-        x_cap = 0.92 * min(math.sqrt(fam.a - lam), math.sqrt(fam.a - e))
-        for u in _WITNESS_FRACTIONS:
-            px = u * x_cap
-            inner = 1.0 - px * px / (fam.a - e)
-            if inner > 1e-9:
-                points.append((px, state.sign * math.sqrt((fam.b - e) * inner)))
-    else:
-        points = [fam.ellipse_point(e, th) for th in _WITNESS_ANGLES]
-    for px, py in points:
-        nx, ny = inward_normal(fam, e, px, py)
-        for vx, vy in directions_with_caustic(fam, px, py, lam):
-            d = vx * nx + vy * ny
-            if abs(d) < 1e-6:
-                continue
-            if (d > 0.0) is not want_inward:
-                continue
-            if not hyper and winding_sign(px, py, vx, vy) != state.sign:
-                continue
-            return PhaseState(px, py, vx, vy, state.leaf_after)
-    return None
-
-
-def _state_sign(book: BilliardBook, lam: float, state: PhaseState) -> int:
-    if lam > book.family.b:
-        return 1 if state.y >= 0.0 else -1
-    return winding_sign(state.x, state.y, state.vx, state.vy)
-
-
 def _transfer(
-    book: BilliardBook, lam: float, state: PhaseState
-) -> tuple[RegimeState, list[RegimeState], PhaseState]:
-    """Advance a post-reflection witness to its next reflection, collecting
-    the crossings passed on the way."""
+    book: BilliardBook, lam: float, state: RegimeState
+) -> tuple[RegimeState, list[RegimeState]]:
+    """The reflection state after ``state`` at caustic lam, with the
+    crossings passed on the way, read from the leaves and gluings alone.
+
+    A leaf entered at its outer ellipse is crossed to its hole when the
+    caustic reaches the hole (inner < lam, so always above b) and back to
+    the outer ellipse otherwise; that outer-to-outer chord crosses the
+    major axis, so a hyperbolic sign flips on it.  A leaf entered at its
+    hole is crossed to its outer ellipse.  ``transition`` decides what
+    happens there; an elliptic winding sign never changes.
+    """
+    hyper = lam > book.family.b
     crossings: list[RegimeState] = []
-    cur = state
-    for _ in range(200):
-        cur, ev = step(book, cur)
-        if ev.rule is Rule.R3:
-            crossings.append(
-                RegimeState(ev.ellipse, EventSide.PASS_THROUGH, ev.leaf_before, ev.leaf_after, 0)
-            )
-            continue
-        sign = _state_sign(book, lam, cur)
-        return RegimeState(ev.ellipse, ev.side, ev.leaf_before, ev.leaf_after, sign), crossings, cur
-    raise TopologyError("no reflection reached within 200 events")  # pragma: no cover
+    leaf_id, sign = state.leaf_after, state.sign
+    at_outer = state.side is EventSide.FROM_INSIDE
+    for _ in range(2 * len(book.leaves) + 2):
+        leaf = book.leaf(leaf_id)
+        to_hole = at_outer and leaf.inner is not None and leaf.inner < lam
+        if at_outer and not to_hole and hyper:
+            sign = -sign
+        e = leaf.inner if to_hole else leaf.outer
+        rule, side, after = transition(book, leaf_id, e)
+        if rule is not Rule.R3:
+            return RegimeState(e, side, leaf_id, after, sign), crossings
+        crossings.append(RegimeState(e, side, leaf_id, after, 0))
+        # a crossing lands on the far side: through a hole onto the outer
+        # ellipse of the leaf inside it, through an outer ellipse into a hole
+        leaf_id, at_outer = after, to_hole
+    raise TopologyError(f"transfer at lam={lam} met no reflection after {state}")
 
 
 def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
     """All Liouville tori at a regular caustic value, as symbolic cycles.
 
-    Each reflection state at lam that no regime holds yet seeds a walk: one
-    witness phase point advances a reflection at a time until the seed's
-    state comes back, and the states passed, with the crossings between
-    them, are one torus.  The transfer map must be a permutation of the
-    reflection states; a walk that meets a state of an earlier regime,
-    outgrows the state list or grazes a boundary raises TopologyError.  A
-    seed without a witness is skipped.
+    The symbolic transfer map (``_transfer``) sends each reflection state
+    at lam to the next one, from the leaves and gluings alone.  Each state
+    that no regime holds yet seeds a walk along the map until the seed
+    comes back; the states passed, with the crossings between them, are one
+    torus.  The map must be a permutation of the reflection states: a walk
+    that meets a state walked before, by itself or an earlier regime,
+    raises TopologyError.
     """
     levels = critical_levels(book)
     tol = _level_tolerance(book)
@@ -198,53 +171,33 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
     below = max(lv for lv in levels if lv < lam)
     above = min(lv for lv in levels if lv > lam)
 
-    seeds = _reflection_states(book, lam)
-    assigned: set[tuple] = set()
+    walked: set[RegimeState] = set()
     regimes: list[RegimeDescriptor] = []
-    for seed in seeds:
-        if seed.key() in assigned:
+    for seed in _reflection_states(book, lam):
+        if seed in walked:
             continue
-        w = _witness_state(book, lam, seed)
-        if w is None:
-            log.debug("no witness for state %s", seed)
-            continue
-        # (reflection state, its witness, crossings up to the next reflection)
-        walk: list[tuple[RegimeState, PhaseState, list[RegimeState]]] = []
+        cycle: list[RegimeState] = []  # each reflection, then the crossings after it
         cur = seed
-        while not walk or cur.key() != seed.key():
-            if cur.key() in assigned or len(walk) == len(seeds):
+        while not cycle or cur != seed:
+            if cur in walked:
                 raise TopologyError(f"transfer map at lam={lam} is not a permutation")
-            try:
-                nxt, passed, nw = _transfer(book, lam, w)
-            except TangentialHit as exc:
-                raise TopologyError(f"transfer at lam={lam} grazed a boundary: {exc}") from exc
-            walk.append((cur, w, passed))
-            cur, w = nxt, nw
-        regimes.append(_build_regime((below, above), walk))
-        assigned.update(st.key() for st, _, _ in walk)
+            walked.add(cur)
+            nxt, passed = _transfer(book, lam, cur)
+            cycle += [cur, *passed]
+            cur = nxt
+        regimes.append(_build_regime((below, above), cycle))
     regimes.sort(key=lambda r: r.key())
     return regimes
 
 
-def _build_regime(
-    interval: tuple[float, float],
-    walk: list[tuple[RegimeState, PhaseState, list[RegimeState]]],
-) -> RegimeDescriptor:
-    # Canonical rotation: start at the lexicographically least reflection.
-    chunks = [(st, *passed) for st, _, passed in walk]
-
-    def rotation(start: int) -> tuple[RegimeState, ...]:
-        return tuple(s for chunk in chunks[start:] + chunks[:start] for s in chunk)
-
-    best_i = min(range(len(chunks)), key=lambda i: tuple(s.key() for s in rotation(i)))
-    states = rotation(best_i)
-    # the common winding sign below b; the canonical half-plane label above it
-    return RegimeDescriptor(
-        caustic_interval=interval,
-        states=states,
-        orientation=states[0].sign,
-        witness=walk[best_i][1],
-    )
+def _build_regime(interval: tuple[float, float], cycle: list[RegimeState]) -> RegimeDescriptor:
+    # Canonical rotation: the least sequence of state keys over the
+    # rotations that start at a reflection (the first such on a tie).
+    keys = [s.key() for s in cycle]
+    starts = [i for i, s in enumerate(cycle) if s.side is not EventSide.PASS_THROUGH]
+    best = min(starts, key=lambda i: keys[i:] + keys[:i])
+    states = tuple(cycle[best:] + cycle[:best])
+    return RegimeDescriptor(interval, states, orientation=states[0].sign)
 
 
 # ---------------------------------------------------------------------------
@@ -358,30 +311,22 @@ def axis_bounce_circles(book: BilliardBook, axis: str) -> list[CriticalCircle]:
     """
     segments: list[tuple[int, float, float, float, float]] = []
     # (leaf_id, lo, hi, ellipse at lo, ellipse at hi)
+    # (leaf id, half-axis sign) -> the leaf's segment, with its vertices, on that half
+    on_half: dict[tuple[int, int], int] = {}
     for lf in book.leaves:
         m_out = _axis_extent(book, axis, lf.outer)
+        on_half[lf.id, 1] = len(segments)
         if lf.is_disk:
             segments.append((lf.id, -m_out, m_out, lf.outer, lf.outer))
         else:
             m_in = _axis_extent(book, axis, lf.inner)
             segments.append((lf.id, m_in, m_out, lf.inner, lf.outer))
             segments.append((lf.id, -m_out, -m_in, lf.outer, lf.inner))
-
-    def segment_from(leaf_id: int, coord: float, direction: int) -> int:
-        for idx, (lid, lo, hi, _, _) in enumerate(segments):
-            if lid != leaf_id:
-                continue
-            if direction > 0 and abs(lo - coord) < 1e-9:
-                return idx
-            if direction < 0 and abs(hi - coord) < 1e-9:
-                return idx
-        raise TopologyError(
-            f"no segment of leaf {leaf_id} starts at {coord} going {direction}"
-        )  # pragma: no cover
+        on_half[lf.id, -1] = len(segments) - 1
 
     def bounce(seg_idx: int, direction: int):
         lid, lo, hi, e_lo, e_hi = segments[seg_idx]
-        coord = hi if direction > 0 else lo
+        half = 1 if (hi if direction > 0 else lo) > 0 else -1  # the vertex's half-axis sign
         e = e_hi if direction > 0 else e_lo
         rule, side, image = transition(book, lid, e)
         if rule is Rule.R3:
@@ -389,8 +334,8 @@ def axis_bounce_circles(book: BilliardBook, axis: str) -> list[CriticalCircle]:
             refl = None
         else:
             new_dir = -direction  # reflection at the vertex reverses the slide
-            refl = (e, side.value, lid, image, 1 if coord > 0 else -1)
-        return segment_from(image, coord, new_dir), new_dir, refl
+            refl = (e, side.value, lid, image, half)
+        return on_half[image, half], new_dir, refl
 
     states = [(i, d) for i in range(len(segments)) for d in (1, -1)]
     seen: set[tuple[int, int]] = set()

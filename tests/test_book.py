@@ -17,7 +17,7 @@ from billiard_books import (
     make_book,
     validate_book,
 )
-from billiard_books.book import NotABoundary, book_from_dict, book_to_dict
+from billiard_books.book import NotABoundary, book_from_dict, book_to_dict, load_book, save_book
 
 
 def codes(violations):
@@ -93,6 +93,22 @@ def test_round_trip_preserves_cycles(books):
         {"ellipse": 2.0, "cycles": [[1, 2, 3]]},
         {"ellipse": 3.5, "cycles": [[3, 4, 5]]},
     ]
+
+
+def test_round_trip_keeps_fixed_points(family, tmp_path):
+    # a gluing that fixes a leaf on its ellipse saves it as a 1-cycle
+    book = BilliardBook(
+        family,
+        (annulus(1, 0.0, 2.0), disk(2, 2.0), disk(3, 2.0)),
+        (GluingPermutation(2.0, {1: 2, 2: 1, 3: 3}),),
+    )
+    assert validate_book(book) == []
+    assert book_to_dict(book)["gluings"] == [{"ellipse": 2.0, "cycles": [[1, 2], [3]]}]
+    path = str(tmp_path / "book.json")
+    save_book(book, path)
+    again = load_book(path)
+    assert validate_book(again) == []
+    assert again == book
 
 
 def test_schema_rejects_unknown_leaf_kind():

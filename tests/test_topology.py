@@ -21,10 +21,13 @@ from billiard_books import (
     to_dot,
 )
 from billiard_books import topology
+from billiard_books.book import BilliardBook, GluingPermutation, annulus, validate_book
 from billiard_books.catalog import FIXTURE_FAMILY
 from billiard_books.dynamics import EventSide, TangentialHit
 from billiard_books.topology import ATOM_EDGE_CAPACITY, FomenkoGraph, TopologyError
 
+import _stepped_regimes
+from _stepped_regimes import stepped_regimes
 from _refs import (
     ref_graph_annulus_two_disks,
     ref_graph_chain_five,
@@ -60,28 +63,87 @@ def test_enumerate_rejects_critical_values(books):
 @pytest.mark.parametrize("target", [0, 1])
 def test_enumerate_regimes_refuses_non_permutation(books, monkeypatch, target):
     # a transfer map sending every reflection state to one state is not a
-    # permutation: with target 0 a later walk meets an assigned state, with
+    # permutation: with target 0 a later walk meets a state walked before, with
     # target 1 the first walk never returns to its seed
     book = books["annulus_two_disks"]
     real = topology._transfer
     into = topology._reflection_states(book, 1.0)[target]
 
-    def collapsing(book_, lam, witness):
-        _, crossings, nxt = real(book_, lam, witness)
-        return into, crossings, nxt
+    def collapsing(book_, lam, state):
+        _, crossings = real(book_, lam, state)
+        return into, crossings
 
     monkeypatch.setattr(topology, "_transfer", collapsing)
     with pytest.raises(TopologyError, match=r"lam=1\.0"):
         enumerate_regimes(book, 1.0)
 
 
+def test_enumerate_regimes_refuses_endless_crossings(books, monkeypatch):
+    # a walk that crosses 2 * leaves + 2 times without reflecting is refused
+    book = books["annulus_two_disks"]
+    seeds = topology._reflection_states(book, 1.0)
+    calls = []
+
+    def crossing(book_, leaf_id, ellipse):
+        calls.append(leaf_id)
+        return Rule.R3, EventSide.PASS_THROUGH, leaf_id
+
+    monkeypatch.setattr(topology, "_reflection_states", lambda book_, lam: seeds)
+    monkeypatch.setattr(topology, "transition", crossing)
+    with pytest.raises(TopologyError, match=r"lam=1\.0"):
+        enumerate_regimes(book, 1.0)
+    assert len(calls) == 2 * len(book.leaves) + 2
+
+
 def test_enumerate_regimes_refuses_tangential_transfer(books, monkeypatch):
+    # only the stepped oracle can graze a boundary; it refuses such a walk
     def tangential(book_, lam, witness):
         raise TangentialHit(2.0, witness.x, witness.y, 0.0)
 
-    monkeypatch.setattr(topology, "_transfer", tangential)
+    monkeypatch.setattr(_stepped_regimes, "stepped_transfer", tangential)
     with pytest.raises(TopologyError, match=r"lam=1\.0"):
-        enumerate_regimes(books["annulus_two_disks"], 1.0)
+        stepped_regimes(books["annulus_two_disks"], 1.0)
+
+
+def random_glued_book(family, rng):
+    """A valid book of 1-8 disks and annuli over five ellipses, each shared
+    ellipse glued by a uniformly random permutation (fixed points allowed)."""
+    pool = (0.0, 0.8, 1.6, 2.4, 3.2)
+    leaves = []
+    for lid in range(1, int(rng.integers(1, 9)) + 1):
+        i, j = sorted(int(k) for k in rng.choice(len(pool), size=2, replace=False))
+        leaves.append(disk(lid, pool[i]) if rng.random() < 0.5 else annulus(lid, pool[i], pool[j]))
+    book = make_book(family, leaves)
+    gluings = []
+    for e in book.boundary_values():
+        ids = book.leaf_ids_on_ellipse(e)
+        if len(ids) > 1:
+            images = [int(x) for x in rng.permutation(ids)]
+            gluings.append(GluingPermutation(e, dict(zip(ids, images))))
+    book = BilliardBook(family, tuple(leaves), tuple(gluings))
+    assert validate_book(book) == []
+    return book
+
+
+def test_symbolic_regimes_match_stepped_oracle(books, family):
+    # the symbolic transfer map against witnesses stepped by dynamics.step,
+    # on every band of the catalog, compiled and random glued books
+    rng = np.random.default_rng(5)
+    corpus = list(books.values())
+    corpus += [
+        compile_simple(random_valid_game(family, rng, n)).book for n in range(2, 13) for _ in "ab"
+    ]
+    corpus += [random_glued_book(family, rng) for _ in range(150)]
+    bands = 0
+    for book in corpus:
+        levels = critical_levels(book)
+        for lo, hi in zip(levels, levels[1:]):
+            mid = (lo + hi) / 2
+            got = [(r.key(), r.orientation) for r in enumerate_regimes(book, mid)]
+            want = [(r.key(), r.orientation) for r, _ in stepped_regimes(book, mid)]
+            assert got == want, (book, mid)
+            bands += 1
+    assert bands > 500, bands
 
 
 def test_regimes_locally_constant(books):
@@ -96,7 +158,7 @@ def test_regimes_locally_constant(books):
 
 def test_witness_reproduces_cycle(books, family):
     # compiled books check that step and the regime enumeration agree
-    # beyond the catalog
+    # beyond the catalog; each regime's witness comes from the stepped oracle
     rng = np.random.default_rng(0)
     games = [random_valid_game(family, rng, int(rng.integers(2, 7))) for _ in range(12)]
     catalog = ("annulus_two_disks", "two_annuli_two_disks", "chain_six")
@@ -106,13 +168,15 @@ def test_witness_reproduces_cycle(books, family):
         levels = critical_levels(book)
         for i in range(len(levels) - 1):
             mid = (levels[i] + levels[i + 1]) / 2
-            for regime in enumerate_regimes(book, mid):
+            regimes = {r.key(): r for r in enumerate_regimes(book, mid)}
+            for found, witness in stepped_regimes(book, mid):
+                regime = regimes[found.key()]
                 refl = [
                     (s.ellipse, s.side, s.leaf_before, s.leaf_after, s.sign)
                     for s in regime.states
                     if s.side is not EventSide.PASS_THROUGH
                 ]
-                traj = simulate(book, regime.witness, max_events=12 * len(regime.states) + 8)
+                traj = simulate(book, witness, max_events=12 * len(regime.states) + 8)
                 seen = []
                 for ev in traj.events:
                     if ev.rule is Rule.R3:
