@@ -35,7 +35,6 @@ from .conics import (
     caustic_parameter,
     classify_conic,
     directions_with_caustic,
-    next_intersection,
     reflect,
     tangency_oracle,
 )

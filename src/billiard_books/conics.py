@@ -144,43 +144,26 @@ def tangency_oracle(
 
 def ray_intersections(
     family: ConfocalFamily, lam: float, px: float, py: float, vx: float, vy: float
-) -> tuple[float, list[float]]:
+) -> tuple[float, tuple[float, ...]]:
     """All real ray parameters t with p + t v on C_lam, plus the discriminant.
 
-    Uses the cancellation-free two-root form; roots are returned unsorted.
+    The coefficients are those of ray_conic_coefficients, computed inline.
+    Uses the cancellation-free two-root form; the roots, none, one or two of
+    them, are returned unsorted.
     """
-    A, B, C = ray_conic_coefficients(family, lam, px, py, vx, vy)
+    da = family.a - lam
+    db = family.b - lam
+    A = vx * vx * db + vy * vy * da
+    B = px * vx * db + py * vy * da
+    C = px * px * db + py * py * da - da * db
     disc = B * B - A * C
     if disc < 0.0:
-        return disc, []
+        return disc, ()
     s = math.sqrt(disc)
     q = -(B + s) if B >= 0.0 else -(B - s)
-    roots: list[float] = []
-    if A != 0.0:
-        roots.append(q / A)
-    if q != 0.0:
-        roots.append(C / q)
-    return disc, roots
-
-
-def next_intersection(
-    family: ConfocalFamily,
-    px: float,
-    py: float,
-    vx: float,
-    vy: float,
-    lam_target: float,
-) -> tuple[tuple[float, float], float] | None:
-    """First forward intersection of the ray p + t v with the ellipse
-    C_{lam_target}, skipping t <= T_MIN.  None when the ray misses."""
-    _, roots = ray_intersections(family, lam_target, px, py, vx, vy)
-    best = None
-    for t in roots:
-        if t > T_MIN and (best is None or t < best):
-            best = t
-    if best is None:
-        return None
-    return (px + best * vx, py + best * vy), best
+    if q == 0.0:
+        return disc, (q / A,) if A != 0.0 else ()
+    return disc, (q / A, C / q) if A != 0.0 else (C / q,)
 
 
 def inward_normal(

@@ -9,14 +9,12 @@ caustic parameter is conserved by all three transitions.
 
 from __future__ import annotations
 
-import csv
-import io
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import conics
 from .book import BilliardBook, Leaf, Side, boundary_side, glued_return_leaf, invert_gluings
@@ -33,6 +31,7 @@ log = logging.getLogger(__name__)
 MAX_EVENTS_DEFAULT = 10_000
 TIE_TOL = 1e-9  # two boundary hits closer than this count as a tie
 _CONTAINS_TOL = 1e-9  # conic residual by which a point may lie outside its leaf
+UNIT_SPEED_TOL = 1e-9  # |v| - 1 by which a start velocity may miss unit length
 
 
 class DynamicsError(Exception):
@@ -68,8 +67,7 @@ STATUS_OK = "ok"
 STATUS_SINGULAR = "SingularLevelHit"
 
 
-@dataclass(frozen=True)
-class PhaseState:
+class PhaseState(NamedTuple):
     x: float
     y: float
     vx: float
@@ -77,8 +75,7 @@ class PhaseState:
     leaf_id: int
 
 
-@dataclass(frozen=True)
-class TrajectoryEvent:
+class TrajectoryEvent(NamedTuple):
     x: float
     y: float
     ellipse: float
@@ -112,14 +109,6 @@ def contains(book: BilliardBook, leaf: Leaf, x: float, y: float) -> bool:
     if leaf.inner is not None and fam.conic_residual(leaf.inner, x, y) < -_CONTAINS_TOL:
         return False
     return True
-
-
-def _tangency_threshold(book: BilliardBook) -> float:
-    return 1e-9 * book.family.a
-
-
-def _coeffs(fam, e: float, state: PhaseState):
-    return ray_conic_coefficients(fam, e, state.x, state.y, state.vx, state.vy)
 
 
 def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, EventSide, int]:
@@ -157,18 +146,17 @@ def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryE
     finds no boundary at all.
     """
     fam = book.family
-    leaf = book.leaf(state.leaf_id)
-    graze_tol = _tangency_threshold(book)
+    x, y, vx, vy, leaf_id = state
+    graze_tol = 1e-9 * fam.a  # |B^2 - AC| below this is a tangential hit
     best: tuple[float, float, bool] | None = None  # (t, ellipse, grazing)
-    for e in leaf.boundary_params():
-        disc, roots = ray_intersections(fam, e, state.x, state.y, state.vx, state.vy)
-        if abs(disc) < graze_tol:
-            # a graze; the double root may be lost to rounding, so rebuild it
-            A, B, _ = _coeffs(fam, e, state)
-            candidates = [(-B / A, True)] if A != 0.0 else []
-        else:
-            candidates = [(t, False) for t in roots]
-        for t, grazing in candidates:
+    for e in book.leaf(leaf_id).boundary_params():
+        disc, roots = ray_intersections(fam, e, x, y, vx, vy)
+        grazing = abs(disc) < graze_tol
+        if grazing:
+            # the double root may be lost to rounding, so rebuild it
+            A, B, _ = ray_conic_coefficients(fam, e, x, y, vx, vy)
+            roots = (-B / A,) if A != 0.0 else ()
+        for t in roots:
             if t <= conics.T_MIN:
                 continue
             if best is None or t < best[0] - TIE_TOL:
@@ -177,23 +165,21 @@ def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryE
                 log.warning("boundary tie at t=%.3e; taking smaller ellipse %s", t, e)
                 best = (t, e, grazing)
     if best is None:
-        raise EscapedLeaf(
-            f"ray from ({state.x:.6g}, {state.y:.6g}) on leaf {state.leaf_id} hits no boundary"
-        )
+        raise EscapedLeaf(f"ray from ({x:.6g}, {y:.6g}) on leaf {leaf_id} hits no boundary")
     t, e, grazing = best
-    hx = state.x + t * state.vx
-    hy = state.y + t * state.vy
+    hx = x + t * vx
+    hy = y + t * vy
     if grazing:
         raise TangentialHit(e, hx, hy, t)
     hx, hy = project_to_conic(fam, e, hx, hy)
 
-    rule, event_side, leaf_after = transition(book, leaf.id, e)
+    rule, event_side, leaf_after = transition(book, leaf_id, e)
     if rule is Rule.R3:
-        n = math.hypot(state.vx, state.vy)
-        vx, vy = state.vx / n, state.vy / n
+        n = math.hypot(vx, vy)
+        vx, vy = vx / n, vy / n
     else:
-        vx, vy = reflect(fam, e, hx, hy, state.vx, state.vy)
-    event = TrajectoryEvent(hx, hy, e, event_side, rule, leaf.id, leaf_after, vx, vy)
+        vx, vy = reflect(fam, e, hx, hy, vx, vy)
+    event = TrajectoryEvent(hx, hy, e, event_side, rule, leaf_id, leaf_after, vx, vy)
     return PhaseState(hx, hy, vx, vy, leaf_after), event
 
 
@@ -203,13 +189,18 @@ def flow(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
     The state after an event is (x, y, vx, vy, leaf_after) of that event.  A
     grazing hit on a glued ellipse continues straight (recorded as a
     crossing) when the gluing chain returns to the same leaf; otherwise the
-    flow has reached a singular level and the iterator ends.  A start
-    outside its leaf raises EscapedLeaf here, before any event is asked for.
+    flow has reached a singular level and the iterator ends.  A start with a
+    non-finite coordinate or a velocity off unit length by more than
+    UNIT_SPEED_TOL raises DynamicsError, and a start outside its leaf raises
+    EscapedLeaf, here, before any event is asked for.
     """
-    if not contains(book, book.leaf(state.leaf_id), state.x, state.y):
-        raise EscapedLeaf(
-            f"initial position ({state.x:.6g}, {state.y:.6g}) is not in leaf {state.leaf_id}"
-        )
+    x, y, vx, vy, leaf_id = state
+    if not all(map(math.isfinite, (x, y, vx, vy))):
+        raise DynamicsError(f"start state ({x}, {y}, {vx}, {vy}) is not finite")
+    if abs(math.hypot(vx, vy) - 1.0) > UNIT_SPEED_TOL:
+        raise DynamicsError(f"start velocity ({vx:.6g}, {vy:.6g}) is not a unit vector")
+    if not contains(book, book.leaf(leaf_id), x, y):
+        raise EscapedLeaf(f"initial position ({x:.6g}, {y:.6g}) is not in leaf {leaf_id}")
     return _flow(book, state)
 
 
@@ -269,7 +260,7 @@ def time_reversed_start(book: BilliardBook, traj: Trajectory) -> PhaseState:
     leaf the particle arrived from; it then retraces the last chord.
     """
     if not traj.events:
-        return replace(traj.initial, vx=-traj.initial.vx, vy=-traj.initial.vy)
+        return traj.initial._replace(vx=-traj.initial.vx, vy=-traj.initial.vy)
     last = traj.events[-1]
     if last.rule is Rule.R3:
         ux, uy = last.vx, last.vy
@@ -318,25 +309,19 @@ CSV_HEADER = [
 
 
 def trajectory_csv(traj: Trajectory) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for i, ev in enumerate(traj.events):
-        writer.writerow(
-            [
-                i,
-                ev.leaf_before,
-                ev.leaf_after,
-                repr(ev.ellipse),
-                ev.rule.value,
-                ev.side.value,
-                repr(ev.x),
-                repr(ev.y),
-                repr(ev.vx),
-                repr(ev.vy),
-            ]
-        )
-    return buf.getvalue()
+    """One header line and one line per event, each ended by "\n".
+
+    No field is quoted: each is an int, a float ``repr`` or an enum value,
+    none of which holds a comma, a quote or a line break.
+    """
+    rows = [",".join(CSV_HEADER)]
+    rows += [
+        f"{i},{ev.leaf_before},{ev.leaf_after},{ev.ellipse!r},{ev.rule.value},"
+        f"{ev.side.value},{ev.x!r},{ev.y!r},{ev.vx!r},{ev.vy!r}"
+        for i, ev in enumerate(traj.events)
+    ]
+    rows.append("")
+    return "\n".join(rows)
 
 
 def save_trajectory_csv(traj: Trajectory, path: str) -> None:

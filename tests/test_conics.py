@@ -10,11 +10,15 @@ from billiard_books import (
     PointNotOnConic,
     caustic_parameter,
     classify_conic,
-    next_intersection,
     reflect,
     tangency_oracle,
 )
-from billiard_books.conics import directions_with_caustic, rotate_to_caustic
+from billiard_books.conics import (
+    T_MIN,
+    directions_with_caustic,
+    ray_intersections,
+    rotate_to_caustic,
+)
 
 
 def test_classify(family):
@@ -77,6 +81,30 @@ def test_reflect_involution_and_norm(family):
 def test_reflect_rejects_off_conic(family):
     with pytest.raises(PointNotOnConic):
         reflect(family, 0.0, 1.0, 1.0, 1.0, 0.0)
+
+
+def next_intersection(family, px, py, vx, vy, lam_target):
+    """First forward intersection ((x, y), t) of the ray p + t v with the
+    ellipse C_{lam_target}, skipping t <= T_MIN; None when the ray misses."""
+    _, roots = ray_intersections(family, lam_target, px, py, vx, vy)
+    ahead = [t for t in roots if t > T_MIN]
+    if not ahead:
+        return None
+    t = min(ahead)
+    return (px + t * vx, py + t * vy), t
+
+
+def test_ray_intersections_degenerate_quadratics(family):
+    # zero velocity: A = B = 0, so q = 0 and there is no root at all
+    assert ray_intersections(family, 0.0, 1.0, 1.0, 0.0, 0.0) == (0.0, ())
+    # on C_0 at the vertex (3, 0), moving along the tangent: B = C = 0, so
+    # q = 0 and the one root is the double root t = 0
+    disc, roots = ray_intersections(family, 0.0, 3.0, 0.0, 0.0, 1.0)
+    assert disc == 0.0 and roots == (0.0,)
+    # a secant gives two roots, a miss none
+    assert sorted(ray_intersections(family, 0.0, 0.0, 0.0, 1.0, 0.0)[1]) == [-3.0, 3.0]
+    disc, roots = ray_intersections(family, 0.0, 0.0, 3.0, 1.0, 0.0)
+    assert disc < 0.0 and roots == ()
 
 
 def test_next_intersection(family):

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -19,8 +20,10 @@ from billiard_books import (
 from billiard_books.catalog import CATALOG
 from billiard_books.conics import directions_with_caustic
 from billiard_books.dynamics import (
+    CSV_HEADER,
     STATUS_OK,
     STATUS_SINGULAR,
+    DynamicsError,
     EscapedLeaf,
     flow,
     time_reversed_start,
@@ -304,6 +307,32 @@ def test_simulate_is_a_prefix_of_the_flow(books, start, m, more):
         flow(book, outside)
 
 
+# --- start-state check --------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        PhaseState(NAN, 0.2, 0.6, 0.8, 1),
+        PhaseState(2.8, NAN, 0.6, 0.8, 1),
+        PhaseState(2.8, 0.2, NAN, 0.8, 1),
+        PhaseState(2.8, 0.2, 0.6, NAN, 1),
+        PhaseState(INF, 0.2, 0.6, 0.8, 1),
+        PhaseState(2.8, 0.2, 0.6, -INF, 1),
+        PhaseState(2.8, 0.2, 1.2, 1.6, 1),  # |v| = 2: its caustic would read 10.82
+        PhaseState(2.8, 0.2, 0.0, 0.0, 1),
+    ],
+)
+def test_flow_refuses_a_broken_start(books, state):
+    book = books["chain_six"]
+    with pytest.raises(DynamicsError):
+        flow(book, state)
+    with pytest.raises(DynamicsError):
+        simulate(book, state, max_events=0)
+
+
 # --- CSV ---------------------------------------------------------------------
 
 def test_csv_shape(books):
@@ -314,3 +343,28 @@ def test_csv_shape(books):
     assert lines[0] == "event_index,leaf_before,leaf_after,ellipse,rule,side,x,y,vx,vy"
     assert len(lines) == 8
     assert trajectory_csv(traj) == text  # deterministic
+
+
+def test_csv_and_record_contract(books):
+    book = books["chain_six"]
+    empty = simulate(book, toward_e2_state(book), max_events=0)
+    assert trajectory_csv(empty) == ",".join(CSV_HEADER) + "\n"
+
+    traj = simulate(book, toward_e2_state(book), max_events=50)
+    rows = list(csv.reader(trajectory_csv(traj).splitlines()))
+    assert rows[0] == CSV_HEADER and len(rows) == 51
+    for i, (row, ev) in enumerate(zip(rows[1:], traj.events)):
+        assert len(row) == 10
+        fields = dict(zip(CSV_HEADER, row))
+        assert int(fields["event_index"]) == i
+        assert (int(fields["leaf_before"]), int(fields["leaf_after"])) == (
+            ev.leaf_before,
+            ev.leaf_after,
+        )
+        assert (fields["rule"], fields["side"]) == (ev.rule.value, ev.side.value)
+        for name in ("ellipse", "x", "y", "vx", "vy"):
+            assert float(fields[name]) == getattr(ev, name)
+
+    for record, name in ((traj.final, "x"), (traj.events[0], "leaf_after")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
