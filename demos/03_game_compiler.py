@@ -9,7 +9,7 @@ checked by tracing admissible starts.
 from billiard_books import (
     ConfocalFamily,
     OrderedGame,
-    compile_general,
+    compile_game,
     compile_simple,
     dumps_book,
     invert_gluings,
@@ -35,7 +35,7 @@ for betas, sig in [
           f"verification {'ok' if not failures else failures}")
 
 # repeated consecutive hits on one ellipse need identical disk copies
-rep = compile_general(OrderedGame(fam, (0.0, 2.0, 2.0, 3.5), (1, 1, 1, 1)))
+rep = compile_game(OrderedGame(fam, (0.0, 2.0, 2.0, 3.5), (1, 1, 1, 1)))
 print(f"\nrun game (two straight hits on C_2): {rep.leaf_count} leaves, "
       f"disk copies {sorted(len(v) for v in rep.disk_ids.values())}")
 print(f"verification: {verify_realization(rep, samples=25, seed=1) or 'ok'}")

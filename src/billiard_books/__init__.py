@@ -61,7 +61,6 @@ from .games import (
     RepeatWithOutside,
     admissible_start,
     compile_game,
-    compile_general,
     compile_simple,
     leaf_count_bounds,
     normalize_game,

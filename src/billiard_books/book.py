@@ -237,29 +237,6 @@ def invert_gluings(book: BilliardBook) -> BilliardBook:
     return BilliardBook(book.family, book.leaves, tuple(g.inverse() for g in book.gluings))
 
 
-def glued_return_leaf(
-    book: BilliardBook, ellipse_param: float, outer_leaf_id: int
-) -> int | None:
-    """Follow the gluing chain entered from ``outer_leaf_id`` across the
-    ellipse until it re-emerges on a leaf outside the ellipse.
-
-    Returns the exit leaf id, or None when the outer leaf is not glued there
-    (no inner sheet to traverse).  This is the combinatorial core of the
-    grazing-limit continuity test.
-    """
-    g = book.gluing_for(ellipse_param)
-    if g is None or outer_leaf_id not in g.mapping:
-        return None
-    cur = g.image(outer_leaf_id)
-    if cur == outer_leaf_id:
-        return None
-    for _ in range(len(g.mapping) + 1):
-        if boundary_side(book.leaf(cur), ellipse_param) is Side.OUTSIDE:
-            return cur
-        cur = g.image(cur)
-    raise BookError(f"gluing chain at {ellipse_param} does not exit")  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # JSON round trip (schema shipped as book.schema.json)
 # ---------------------------------------------------------------------------

@@ -15,11 +15,9 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import games as games_mod
 from .book import BilliardBook, BookError, SchemaError, load_book, save_book, validate_book
-from .conics import ConfocalFamily, directions_with_caustic
+from .conics import ConfocalFamily
+from .conics import directions_with_caustic  # noqa: F401  hooked by perfbench/spans.py
 from .dynamics import (
     DynamicsError,
     PhaseState,
@@ -33,11 +31,13 @@ from .games import (
     GameError,
     InvalidGame,
     OrderedGame,
-    compile_general,
+    admissible_start,
     compile_simple,
-    expected_trace,
+    normalize_game,
     validate_game,
+    verify_book,
 )
+from .games import compile_game as compile_general  # the name perfbench/spans.py hooks
 from .render import RenderSpec, save_svg, trajectory_svg
 from .topology import TopologyError, build_fomenko_graph, to_dot
 
@@ -103,26 +103,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sample_state(book, leaf_id: int, caustic: float, seed: int) -> PhaseState:
-    """Deterministic point in the leaf with a caustic-tangent direction."""
-    fam = book.family
-    leaf = book.leaf(leaf_id)
-    sx = math.sqrt(fam.a - leaf.outer)
-    sy = math.sqrt(fam.b - leaf.outer)
-    rng = np.random.default_rng(seed)
-    for _ in range(1000):
-        px = rng.uniform(-sx, sx)
-        py = rng.uniform(-sy, sy)
-        if fam.conic_residual(leaf.outer, px, py) > -1e-6:
-            continue
-        if leaf.inner is not None and fam.conic_residual(leaf.inner, px, py) < 1e-6:
-            continue
-        dirs = directions_with_caustic(fam, px, py, caustic)
-        if dirs:
-            return PhaseState(px, py, dirs[0][0], dirs[0][1], leaf_id)
-    raise ValueError(f"no point on leaf {leaf_id} admits caustic {caustic}")
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     book = _load_valid_book(args.book)
     leaf_id = _leaf_or_smallest(book, args.leaf)
@@ -134,7 +114,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError("--vel must be a non-zero velocity")
         state = PhaseState(px, py, vx / n, vy / n, leaf_id)
     elif args.caustic is not None:
-        state = _sample_state(book, leaf_id, args.caustic, args.seed)
+        state = admissible_start(book, leaf_id, args.caustic, args.seed)
+        if state is None:
+            raise ValueError(f"no point on leaf {leaf_id} admits caustic {args.caustic}")
     else:
         raise ValueError("need either --pos/--vel or --caustic")
 
@@ -175,47 +157,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("samples=0 mismatches=0")
         return EXIT_OK
 
-    norm, _ = games_mod.normalize_game(game)
-    want = expected_trace(norm)
-    n = norm.n
-    (e_lo, e_hi), (h_lo, h_hi) = games_mod.admissible_caustic_range(norm)
-    rng = np.random.default_rng(args.seed)
-    need = 5 * n
-    for i in range(args.samples):
-        if i % 2 == 0:
-            caustic = rng.uniform(h_lo + 0.02 * (h_hi - h_lo), h_hi - 0.02 * (h_hi - h_lo))
-        else:
-            caustic = rng.uniform(e_lo + 0.02 * (e_hi - e_lo), e_hi - 0.02 * (e_hi - e_lo))
-        state = None
-        for _ in range(200):
-            cand = _sample_state(book, start_leaf, caustic, int(rng.integers(1 << 62)))
-            _, ev = _first_event(book, cand)
-            if ev is not None and ev.is_reflection and abs(ev.ellipse - norm.betas[0]) < 1e-9:
-                state = cand
-                break
-        if state is None:
-            print(f"sample {i}: no admissible start found", file=sys.stderr)
-            return EXIT_MISMATCH
-        trace = games_mod.sample_trace(book, state, need)
-        for j in range(need):
-            if j >= len(trace):
-                print(f"sample {i}: trace ended after {len(trace)} reflections", file=sys.stderr)
-                return EXIT_MISMATCH
-            beta, side = want[j % n]
-            if abs(trace[j][0] - beta) > 1e-9 or trace[j][1] is not side:
-                print(f"sample {i}: first divergent reflection index {j}", file=sys.stderr)
-                return EXIT_MISMATCH
+    failures = verify_book(book, normalize_game(game)[0], start_leaf, args.samples, args.seed)
+    if failures:
+        i, j = failures[0]
+        print(f"sample {i}: first divergent reflection index {j}", file=sys.stderr)
+        return EXIT_MISMATCH
     print(f"samples={args.samples} mismatches=0")
     return EXIT_OK
-
-
-def _first_event(book, state):
-    from .dynamics import TangentialHit, step
-
-    try:
-        return step(book, state)
-    except TangentialHit:
-        return None, None
 
 
 def _count(text: str) -> int:

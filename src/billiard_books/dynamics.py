@@ -17,7 +17,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple
 
 from . import conics
-from .book import BilliardBook, Leaf, Side, boundary_side, glued_return_leaf, invert_gluings
+from .book import BilliardBook, BookError, Leaf, Side, boundary_side, invert_gluings
 from .conics import (
     caustic_parameter,
     project_to_conic,
@@ -118,8 +118,9 @@ def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, 
     R1 when the ellipse is unglued there or the gluing fixes the leaf, R2
     when the image leaf sits on the same side of the ellipse, R3 (a
     pass-through) when it sits on the opposite side.  This is the only
-    place a gluing is read to decide the rule; each answer is kept in the
-    book's table, so a bad gluing raises every time it is met.
+    place a gluing is read to decide the rule or to walk a gluing chain
+    (``glued_return_leaf``); each answer is kept in the book's table, so a
+    bad gluing raises every time it is met.
     """
     known = book._transitions.get((leaf_id, ellipse))
     if known is None:
@@ -135,6 +136,28 @@ def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, 
             known = Rule.R3, EventSide.PASS_THROUGH, image
         book._transitions[leaf_id, ellipse] = known
     return known
+
+
+def glued_return_leaf(
+    book: BilliardBook, ellipse_param: float, outer_leaf_id: int
+) -> int | None:
+    """Follow the gluing chain entered from ``outer_leaf_id``, a leaf lying
+    outside the ellipse, across the ellipse until it re-emerges on a leaf
+    outside the ellipse.
+
+    Returns the exit leaf id, or None when the outer leaf is not glued there
+    (no inner sheet to traverse).  Each link is the leaf after of
+    ``transition``.  This is the combinatorial core of the grazing-limit
+    continuity test.
+    """
+    cur = transition(book, outer_leaf_id, ellipse_param)[2]
+    if cur == outer_leaf_id:
+        return None
+    for _ in range(len(book.leaves)):
+        if boundary_side(book.leaf(cur), ellipse_param) is Side.OUTSIDE:
+            return cur
+        cur = transition(book, cur, ellipse_param)[2]
+    raise BookError(f"gluing chain at {ellipse_param} does not exit")  # pragma: no cover
 
 
 def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryEvent]:
@@ -157,7 +180,7 @@ def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryE
             A, B, _ = ray_conic_coefficients(fam, e, x, y, vx, vy)
             roots = (-B / A,) if A != 0.0 else ()
         for t in roots:
-            if t <= conics.T_MIN:
+            if not t > conics.T_MIN:  # a NaN root is no hit either
                 continue
             if best is None or t < best[0] - TIE_TOL:
                 best = (t, e, grazing)
@@ -189,10 +212,12 @@ def flow(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
     The state after an event is (x, y, vx, vy, leaf_after) of that event.  A
     grazing hit on a glued ellipse continues straight (recorded as a
     crossing) when the gluing chain returns to the same leaf; otherwise the
-    flow has reached a singular level and the iterator ends.  A start with a
-    non-finite coordinate or a velocity off unit length by more than
-    UNIT_SPEED_TOL raises DynamicsError, and a start outside its leaf raises
-    EscapedLeaf, here, before any event is asked for.
+    flow has reached a singular level and the iterator ends.  A grazing hit
+    on the leaf's own outer ellipse always ends it: straight on, the flow
+    would leave the leaf.  A start with a non-finite coordinate or a
+    velocity off unit length by more than UNIT_SPEED_TOL raises
+    DynamicsError, and a start outside its leaf raises EscapedLeaf, here,
+    before any event is asked for.
     """
     x, y, vx, vy, leaf_id = state
     if not all(map(math.isfinite, (x, y, vx, vy))):
@@ -209,6 +234,8 @@ def _flow(book: BilliardBook, cur: PhaseState) -> Iterator[TrajectoryEvent]:
         try:
             cur, ev = step(book, cur)
         except TangentialHit as hit:
+            if hit.ellipse == book.leaf(cur.leaf_id).outer:
+                return  # grazing its own outer wall, the flow would leave the leaf
             ret = glued_return_leaf(book, hit.ellipse, cur.leaf_id)
             if ret is not None and ret != cur.leaf_id:
                 return

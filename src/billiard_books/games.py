@@ -28,6 +28,7 @@ from .dynamics import simulate, trace_to_game  # noqa: F401  hooked by perfbench
 
 BETA_TOL = 1e-12
 _VERIFY_CYCLES = 5  # game periods each verification sample must repeat
+_START_TRIES = 1000  # points drawn for one start before giving up
 
 
 class GameError(Exception):
@@ -277,15 +278,11 @@ def compile_game(game: OrderedGame) -> CompileReport:
 
 def compile_simple(game: OrderedGame) -> CompileReport:
     """Repeat-free compilation; rejects games with equal consecutive
-    ellipses (use compile_general for those)."""
+    ellipses (use compile_game for those)."""
     repeats = _repeats(game.betas)
     if repeats:
         k, j = repeats[0]
         raise ConsecutiveRepeat(f"positions {k} and {j} use the same ellipse")
-    return compile_game(game)
-
-
-def compile_general(game: OrderedGame) -> CompileReport:
     return compile_game(game)
 
 
@@ -313,24 +310,28 @@ def admissible_caustic_range(game: OrderedGame) -> tuple[tuple[float, float], ..
     return ((max(game.betas), fam.b), (fam.b, fam.a))
 
 
-def admissible_start(report: CompileReport, caustic: float, seed: int) -> PhaseState:
-    """Deterministic pseudo-random state inside the starting annulus, moving
-    tangentially to the caustic with its first event on the game's first
-    ellipse."""
-    game = report.game
-    fam = game.family
-    (e_lo, e_hi), (h_lo, h_hi) = admissible_caustic_range(game)
-    if not (e_lo < caustic < e_hi or h_lo < caustic < h_hi):
-        raise InadmissibleCaustic(
-            f"caustic {caustic} is not an ellipse inside all game ellipses "
-            f"({e_lo}, {e_hi}) nor a hyperbola ({h_lo}, {h_hi})"
-        )
-    leaf = report.book.leaf(report.start_leaf_id)
-    first_ellipse = game.betas[0]
+def admissible_start(
+    book: BilliardBook, leaf_id: int, caustic: float, seed: int, game: OrderedGame | None = None
+) -> PhaseState | None:
+    """Deterministic pseudo-random state inside the leaf, moving tangentially
+    to the caustic; None when none of _START_TRIES drawn points admits one.
+
+    With a game, the caustic must lie in its admissible range, and the
+    state's first event must be a reflection on the game's first ellipse.
+    """
+    fam = book.family
+    if game is not None:
+        (e_lo, e_hi), (h_lo, h_hi) = admissible_caustic_range(game)
+        if not (e_lo < caustic < e_hi or h_lo < caustic < h_hi):
+            raise InadmissibleCaustic(
+                f"caustic {caustic} is not an ellipse inside all game ellipses "
+                f"({e_lo}, {e_hi}) nor a hyperbola ({h_lo}, {h_hi})"
+            )
+    leaf = book.leaf(leaf_id)
     sx = math.sqrt(fam.a - leaf.outer)
     sy = math.sqrt(fam.b - leaf.outer)
     rng = np.random.default_rng(seed)
-    for _ in range(500):
+    for _ in range(_START_TRIES):
         px = rng.uniform(-sx, sx)
         py = rng.uniform(-sy, sy)
         if fam.conic_residual(leaf.outer, px, py) > -1e-6:
@@ -338,21 +339,16 @@ def admissible_start(report: CompileReport, caustic: float, seed: int) -> PhaseS
         if leaf.inner is not None and fam.conic_residual(leaf.inner, px, py) < 1e-6:
             continue
         for vx, vy in directions_with_caustic(fam, px, py, caustic):
-            state = PhaseState(px, py, vx, vy, leaf.id)
+            state = PhaseState(px, py, vx, vy, leaf_id)
+            if game is None:
+                return state
             try:
-                _, ev = step(report.book, state)
+                _, ev = step(book, state)
             except TangentialHit:
                 continue
-            if ev.is_reflection and _same(ev.ellipse, first_ellipse):
+            if ev.is_reflection and _same(ev.ellipse, game.betas[0]):
                 return state
-    raise GameError("no admissible start found; caustic too close to a boundary?")
-
-
-def expected_trace(game: OrderedGame) -> list[tuple[float, EventSide]]:
-    return [
-        (beta, EventSide.FROM_INSIDE if sig == 1 else EventSide.FROM_OUTSIDE)
-        for beta, sig in zip(game.betas, game.signature)
-    ]
+    return None
 
 
 def sample_trace(
@@ -371,20 +367,20 @@ def sample_trace(
     return trace
 
 
-def verify_realization(
-    report: CompileReport,
-    samples: int,
-    seed: int = 0,
+def verify_book(
+    book: BilliardBook, game: OrderedGame, start_leaf: int, samples: int, seed: int = 0
 ) -> list[tuple[int, int]]:
-    """Check that traces from admissible starts repeat the game's reflection
-    sequence _VERIFY_CYCLES times, each read by ``sample_trace``.  Returns
-    (sample, first divergent reflection index) failures, or (sample, number
-    of reflections read) for a trace that ended short; an empty list means
-    every sample matched."""
-    game = report.game
-    fam = game.family
+    """Check that traces from admissible starts on ``start_leaf`` repeat the
+    game's reflection sequence _VERIFY_CYCLES times, each read by
+    ``sample_trace``.  Returns (sample, first divergent reflection index)
+    failures, (sample, number of reflections read) for a trace that ended
+    short, or (sample, 0) when no start was found; an empty list means every
+    sample matched."""
     n = game.n
-    want = expected_trace(game)
+    want = [
+        (beta, EventSide.FROM_INSIDE if sig == 1 else EventSide.FROM_OUTSIDE)
+        for beta, sig in zip(game.betas, game.signature)
+    ]
     (e_lo, e_hi), (h_lo, h_hi) = admissible_caustic_range(game)
     rng = np.random.default_rng(seed)
     failures: list[tuple[int, int]] = []
@@ -398,8 +394,11 @@ def verify_realization(
         else:
             margin = 0.02 * (e_hi - e_lo)
             caustic = rng.uniform(e_lo + margin, e_hi - margin)
-        state = admissible_start(report, caustic, seed=int(rng.integers(1 << 62)))
-        trace = sample_trace(report.book, state, need)
+        state = admissible_start(book, start_leaf, caustic, int(rng.integers(1 << 62)), game)
+        if state is None:
+            failures.append((i, 0))
+            continue
+        trace = sample_trace(book, state, need)
         if len(trace) < need:
             failures.append((i, len(trace)))
             continue
@@ -409,3 +408,12 @@ def verify_realization(
                 failures.append((i, j))
                 break
     return failures
+
+
+def verify_realization(
+    report: CompileReport,
+    samples: int,
+    seed: int = 0,
+) -> list[tuple[int, int]]:
+    """``verify_book`` on the report's book, game and start leaf."""
+    return verify_book(report.book, report.game, report.start_leaf_id, samples, seed)

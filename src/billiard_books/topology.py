@@ -18,10 +18,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .book import BilliardBook, Side, boundary_side, glued_return_leaf
+from .book import BilliardBook, Side, boundary_side
 from .conics import inward_normal
 from .conics import directions_with_caustic, winding_sign  # noqa: F401  perfbench hooks them here
-from .dynamics import EventSide, PhaseState, Rule, step, transition
+from .dynamics import EventSide, PhaseState, Rule, glued_return_leaf, step, transition
 
 # atom type -> (critical circles, edges, separatrices)
 ATOMS = {"A": (1, 1, 0), "B": (1, 3, 2), "C2": (2, 4, 4)}

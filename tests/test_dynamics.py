@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 
 from billiard_books import (
     BilliardBook,
+    ConfocalFamily,
     EventSide,
     PhaseState,
     Rule,
+    annulus,
     caustic_parameter,
+    disk,
+    make_book,
     reverse,
     simulate,
     step,
@@ -267,6 +271,33 @@ def test_grazing_singular_when_chain_crosses(books):
     assert traj.events == []
 
 
+FAM = ConfocalFamily(9.0, 4.0)
+OWN_WALL_BOOKS = {
+    "disk": make_book(FAM, [disk(1, 2.0)]),
+    "two_glued_disks": make_book(FAM, [disk(1, 2.0), disk(2, 2.0)], [(2.0, [[1, 2]])]),
+    "disk_in_annulus": make_book(FAM, [disk(1, 2.0), annulus(2, 0.0, 2.0)], [(2.0, [[1, 2]])]),
+    "annulus": make_book(FAM, [annulus(1, 2.0, 3.5)]),
+}
+
+
+def own_wall_start(eps):
+    """Horizontal chord of leaf 1 tangent to the caustic 2 + eps, starting
+    between the caustic and the leaf's outer ellipse C_2; for eps <= 1e-10
+    its hit on C_2 counts as grazing."""
+    return PhaseState(-math.sqrt(3.5 * eps) / 2, math.sqrt(2.0 - eps), 1.0, 0.0, 1)
+
+
+@pytest.mark.parametrize("eps", [1e-10, 1e-11])
+@pytest.mark.parametrize("name", sorted(OWN_WALL_BOOKS))
+def test_grazing_own_outer_wall_is_singular(name, eps):
+    book = OWN_WALL_BOOKS[name]
+    traj = simulate(book, own_wall_start(eps), max_events=10)
+    assert traj.status == STATUS_SINGULAR
+    assert traj.events == []
+    # a chord clear of the grazing tolerance runs on
+    assert simulate(book, own_wall_start(1e-9), max_events=200).status == STATUS_OK
+
+
 # --- simulate as a prefix of the event flow ---------------------------------
 
 def post_state(ev):
@@ -331,6 +362,16 @@ def test_flow_refuses_a_broken_start(books, state):
         flow(book, state)
     with pytest.raises(DynamicsError):
         simulate(book, state, max_events=0)
+
+
+@pytest.mark.parametrize("bad", [NAN, INF, -INF])
+@pytest.mark.parametrize("k", range(4))
+def test_step_refuses_a_non_finite_state(books, k, bad):
+    """step makes no event from a NaN or infinite coordinate."""
+    coords = [2.8, 0.2, 0.6, 0.8]
+    coords[k] = bad
+    with pytest.raises(EscapedLeaf):
+        step(books["chain_six"], PhaseState(*coords, 1))
 
 
 # --- CSV ---------------------------------------------------------------------

@@ -15,7 +15,7 @@ from billiard_books import (
     admissible_start,
     ConfocalFamily,
     GluingPermutation,
-    compile_general,
+    compile_game,
     compile_simple,
     invert_gluings,
     leaf_count_bounds,
@@ -119,7 +119,7 @@ def test_compile_rejects_repeats(family):
 
 def test_compile_general_run_one_sided(family):
     # two consecutive hits on the middle ellipse, neighbours strictly nested
-    rep = compile_general(game(family, (0.0, 2.0, 2.0, 3.5), (1, 1, 1, 1)))
+    rep = compile_game(game(family, (0.0, 2.0, 2.0, 3.5), (1, 1, 1, 1)))
     assert sorted(len(v) for v in rep.disk_ids.values()) == [2, 2]
     cyc = rep.book.gluing_for(2.0).cycles()[0]
     assert len(cyc) == 4  # annulus, two identical disks, annulus
@@ -127,7 +127,7 @@ def test_compile_general_run_one_sided(family):
 
 def test_compile_general_run_locally_outermost(family):
     # run on the outermost ellipse: one disk fewer than the run length
-    rep = compile_general(game(family, (2.0, 0.0, 0.0, 3.5), (1, 1, 1, 1)))
+    rep = compile_game(game(family, (2.0, 0.0, 0.0, 3.5), (1, 1, 1, 1)))
     run_disks = [ids for ids in rep.disk_ids.values() if rep.book.leaf(ids[0]).outer == 0.0]
     assert run_disks and len(run_disks[0]) == 1
     assert verify_realization(rep, samples=4, seed=3) == []
@@ -140,24 +140,24 @@ def test_compile_general_equals_simple_without_repeats(family):
         ((0.0, 3.5, 2.0), (1, -1, 1)),
     ]:
         g = game(family, betas, sig)
-        assert compile_general(g).book == compile_simple(g).book
+        assert compile_game(g).book == compile_simple(g).book
 
 
 def test_compile_rejects_repeat_with_outside(family):
     with pytest.raises(RepeatWithOutside):
-        compile_general(game(family, (0.0, 2.0, 2.0), (1, 1, -1)))
+        compile_game(game(family, (0.0, 2.0, 2.0), (1, 1, -1)))
 
 
 def test_compile_rejects_constant_game(family):
     with pytest.raises(InvalidGame):
-        compile_general(game(family, (2.0, 2.0), (1, 1)))
+        compile_game(game(family, (2.0, 2.0), (1, 1)))
 
 
 def test_compile_refuses_length_mismatch_before_scanning_repeats():
     # the repeat at positions 0, 1 once read signature[1] and raised IndexError
     fam = ConfocalFamily(9, 4)
     with pytest.raises(InvalidGame) as err:
-        compile_general(game(fam, (0.0, 0.0, 2.0), (1,)))
+        compile_game(game(fam, (0.0, 0.0, 2.0), (1,)))
     assert codes(err.value.violations) == ["LengthMismatch"]
     with pytest.raises(InvalidGame) as simple:
         compile_simple(game(fam, (0.0, 2.0, 3.0), (1,)))
@@ -248,12 +248,12 @@ def test_inverted_book_realizes_reversed_game(family):
 
 def test_admissible_start_ranges(family):
     rep = compile_simple(game(family, (0.0, 2.0), (1, 1)))
-    st = admissible_start(rep, 3.0, seed=0)
+    st = admissible_start(rep.book, rep.start_leaf_id, 3.0, seed=0, game=rep.game)
     assert st.leaf_id == rep.start_leaf_id
-    st = admissible_start(rep, 6.0, seed=0)
+    st = admissible_start(rep.book, rep.start_leaf_id, 6.0, seed=0, game=rep.game)
     assert st.leaf_id == rep.start_leaf_id
     with pytest.raises(InadmissibleCaustic):
-        admissible_start(rep, 1.0, seed=0)
+        admissible_start(rep.book, rep.start_leaf_id, 1.0, seed=0, game=rep.game)
     assert admissible_caustic_range(rep.game) == ((2.0, 4.0), (4.0, 9.0))
 
 
@@ -268,9 +268,16 @@ def test_realization_short(family):
         assert verify_realization(rep, samples=6, seed=9) == []
 
 
+def test_sample_without_a_start_fails_at_index_0(family):
+    rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
+    # leaf 4 is a disk on C_2: no flow from it reflects on C_0 first
+    off = replace(rep, start_leaf_id=4)
+    assert verify_realization(off, samples=4) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+
 def test_first_reflection_is_on_first_ellipse(family):
     rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
-    st = admissible_start(rep, 6.5, seed=4)
+    st = admissible_start(rep.book, rep.start_leaf_id, 6.5, seed=4, game=rep.game)
     traj = simulate(rep.book, st, max_events=30)
     trace = trace_to_game(traj)
     assert trace[0] == (0.0, EventSide.FROM_INSIDE)

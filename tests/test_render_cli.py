@@ -224,17 +224,22 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
         (["simulate", "BOOK", "--caustic", "6.0", "--events", "abc"], 3, "error: argument --events"),
         (["fomenko", "NONFINITE"], 3, "NotFinite: "),
         (["fomenko", "NEAR"], 3, "error: critical levels"),
+        (["verify", "COMPILED", "COMPILED_GAME", "--start-leaf", "4"], 6, "sample 0: "),
+        (["simulate", "COMPILED", "--leaf", "4", "--caustic", "1.0"], 3,
+         "error: no point on leaf 4"),
     ],
     ids=["no-leaf", "pos-outside", "zero-vel", "nan-caustic", "negative-events",
          "negative-seed", "negative-samples", "verify-negative-seed", "no-start-leaf",
          "invalid-book", "constant-game", "foreign-family", "svg-too-many-leaves",
-         "events-not-integer", "non-finite-book", "near-levels"],
+         "events-not-integer", "non-finite-book", "near-levels", "verify-from-a-disk",
+         "caustic-outside-leaf"],
 )
 def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, code, complaint):
     """main returns the documented code, with no traceback or SystemExit."""
     fam = ConfocalFamily(9.0, 4.0)
     files = {name: tmp_path / name for name in (
-        "BOOK", "GAME", "INVALID", "CONSTANT", "FOREIGN", "LARGE", "SVG", "NONFINITE", "NEAR")}
+        "BOOK", "GAME", "INVALID", "CONSTANT", "FOREIGN", "LARGE", "SVG", "NONFINITE", "NEAR",
+        "COMPILED", "COMPILED_GAME")}
     files["BOOK"].write_text(dumps_book(books["annulus_two_disks"]))
     write_game(files["GAME"], (0.0, 2.0), (1, 1))
     invalid = make_book(fam, [disk(1, 2.0)], [(2.0, [[1, 99]])])
@@ -246,6 +251,11 @@ def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, code, complain
     files["NONFINITE"].write_text(dumps_book(make_book(fam, [disk(1, -math.inf)])))
     near = compile_simple(OrderedGame(fam, (0.0, 2.0, 0.0, 2.0 + 1e-10), (1, 1, 1, 1)))
     files["NEAR"].write_text(dumps_book(near.book))
+    # leaf 4 of this book is a disk on C_2, which no game start leaves from
+    compiled = compile_simple(OrderedGame(fam, (0.0, 2.0, 3.5), (1, 1, -1)))
+    assert compiled.book.leaf(4) == disk(4, 2.0)
+    files["COMPILED"].write_text(dumps_book(compiled.book))
+    write_game(files["COMPILED_GAME"], (0.0, 2.0, 3.5), (1, 1, -1))
     assert main([str(files.get(arg, arg)) for arg in argv]) == code
     captured = capsys.readouterr()
     assert complaint in captured.err

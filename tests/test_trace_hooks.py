@@ -3,6 +3,7 @@ by the module or class attribute their callers look up.  A hooked name that
 is renamed or removed must fail here, in tier-1, and not only in the slow
 ``pytest perfbench`` run."""
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -17,3 +18,35 @@ def test_every_traced_name_exists():
         f"{owner.__name__}.{attr}" for owner, attr, _ in spans.WRAPS if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def _imports_and_uses(tree):
+    """(name bound by each import, all names the module reads)."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported, used
+
+
+def test_every_import_is_used_or_hooked():
+    """An import no code of its module reads must be one the traced run
+    hooks there; any other is dead and goes."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    package = SPANS.parent.parent / "src" / "billiard_books"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        hooked = {attr for owner, attr, _ in spans.WRAPS
+                  if getattr(owner, "__name__", "") == f"billiard_books.{path.stem}"}
+        imported, used = _imports_and_uses(ast.parse(path.read_text(encoding="utf-8")))
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used and name not in hooked]
+    assert unused == []
