@@ -234,7 +234,7 @@ def directions_with_caustic(
             dirs.extend([(1.0 / n, m / n), (-1.0 / n, -m / n)])
     else:
         disc = R * R - 4.0 * a2 * (Q - lam)
-        if disc < 0.0:
+        if not disc >= 0.0:  # a NaN caustic admits no direction either
             return []
         s = math.sqrt(disc)
         for m in ((-R + s) / (2.0 * a2), (-R - s) / (2.0 * a2)):

@@ -343,8 +343,8 @@ def trajectory_csv(traj: Trajectory) -> str:
     """
     rows = [",".join(CSV_HEADER)]
     rows += [
-        f"{i},{ev.leaf_before},{ev.leaf_after},{ev.ellipse!r},{ev.rule.value},"
-        f"{ev.side.value},{ev.x!r},{ev.y!r},{ev.vx!r},{ev.vy!r}"
+        f"{i},{ev.leaf_before},{ev.leaf_after},{ev.ellipse!r},{ev.rule._value_},"
+        f"{ev.side._value_},{ev.x!r},{ev.y!r},{ev.vx!r},{ev.vy!r}"
         for i, ev in enumerate(traj.events)
     ]
     rows.append("")

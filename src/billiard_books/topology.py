@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .book import BilliardBook, Side, boundary_side
 from .conics import inward_normal
@@ -52,8 +52,7 @@ class NoInnerLeaf(TopologyError):
 # Symbolic states and regime enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegimeState:
+class RegimeState(NamedTuple):
     """One entry of a regime's event cycle.  ``sign`` is the winding
     direction (elliptic caustic) or the half-plane of the reflection point
     (hyperbolic caustic); crossings carry sign 0."""
@@ -65,7 +64,7 @@ class RegimeState:
     sign: int
 
     def key(self) -> tuple:
-        return (self.ellipse, self.side.value, self.leaf_before, self.leaf_after, self.sign)
+        return (self.ellipse, self.side._value_, self.leaf_before, self.leaf_after, self.sign)
 
 
 @dataclass
@@ -91,7 +90,7 @@ class RegimeDescriptor:
         refl = self.reflection_states
         if signed:
             return frozenset(s.key() for s in refl)
-        return frozenset((s.ellipse, s.side.value, s.leaf_before, s.leaf_after) for s in refl)
+        return frozenset((s.ellipse, s.side._value_, s.leaf_before, s.leaf_after) for s in refl)
 
 
 def critical_levels(book: BilliardBook) -> list[float]:
@@ -166,13 +165,13 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
     tol = _level_tolerance(book)
     if any(abs(lam - lv) < tol for lv in levels):
         raise CriticalLambda(f"lam={lam} is a critical level")
-    if lam < levels[0] or lam > levels[-1]:
+    if not levels[0] < lam < levels[-1]:
         raise CriticalLambda(f"lam={lam} is outside the dynamical range")
     below = max(lv for lv in levels if lv < lam)
     above = min(lv for lv in levels if lv > lam)
 
     walked: set[RegimeState] = set()
-    regimes: list[RegimeDescriptor] = []
+    keyed: list[tuple[list[tuple], RegimeDescriptor]] = []
     for seed in _reflection_states(book, lam):
         if seed in walked:
             continue
@@ -185,19 +184,22 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
             nxt, passed = _transfer(book, lam, cur)
             cycle += [cur, *passed]
             cur = nxt
-        regimes.append(_build_regime((below, above), cycle))
-    regimes.sort(key=lambda r: r.key())
-    return regimes
+        keyed.append(_build_regime((below, above), cycle))
+    keyed.sort(key=lambda kr: kr[0])
+    return [r for _, r in keyed]
 
 
-def _build_regime(interval: tuple[float, float], cycle: list[RegimeState]) -> RegimeDescriptor:
+def _build_regime(
+    interval: tuple[float, float], cycle: list[RegimeState]
+) -> tuple[list[tuple], RegimeDescriptor]:
+    """The regime of one walked cycle, and its ``key()`` as a list to sort by."""
     # Canonical rotation: the least sequence of state keys over the
     # rotations that start at a reflection (the first such on a tie).
     keys = [s.key() for s in cycle]
     starts = [i for i, s in enumerate(cycle) if s.side is not EventSide.PASS_THROUGH]
     best = min(starts, key=lambda i: keys[i:] + keys[:i])
     states = tuple(cycle[best:] + cycle[:best])
-    return RegimeDescriptor(interval, states, orientation=states[0].sign)
+    return keys[best:] + keys[:best], RegimeDescriptor(interval, states, orientation=states[0].sign)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,7 @@ def axis_bounce_circles(book: BilliardBook, axis: str) -> list[CriticalCircle]:
             refl = None
         else:
             new_dir = -direction  # reflection at the vertex reverses the slide
-            refl = (e, side.value, lid, image, half)
+            refl = (e, side._value_, lid, image, half)
         return on_half[image, half], new_dir, refl
 
     states = [(i, d) for i in range(len(segments)) for d in (1, -1)]

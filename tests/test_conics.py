@@ -159,6 +159,11 @@ def test_directions_with_caustic_roundtrip(family):
             assert caustic_parameter(family, px, py, vx, vy) == pytest.approx(lam, abs=1e-9)
 
 
+def test_directions_with_nan_caustic_are_none(family):
+    # a NaN discriminant gives no direction, not NaN velocities
+    assert directions_with_caustic(family, 1.0, 1.0, math.nan) == []
+
+
 def test_rotate_to_caustic_picks_nearest(family):
     px, py = family.ellipse_point(0.0, 0.8)
     vx, vy = math.cos(2.1), math.sin(2.1)

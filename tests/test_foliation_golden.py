@@ -13,6 +13,13 @@ same way, on the library as it was before ``enumerate_regimes`` became one
 transfer walk per seed and torus families were continued by reflection
 state.
 
+Each edge carries the regime of the first band its family crosses, so the
+regime hashes do not see the other bands.  The band hashes cover every
+band: for each band midpoint, the interval, key and orientation of each
+regime in ``enumerate_regimes``'s order.  They were recorded the same way,
+on the library as it was before regime states became named tuples and each
+band's regimes were sorted by the key built with their canonical rotation.
+
 ROADMAP item 1 (atom assembly at grazing levels) will change some rows on
 purpose: compiled books whose graphs have ``Unknown`` atoms at a glued
 ellipse.  That change must list each row it alters, with the reason.
@@ -23,7 +30,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from billiard_books import build_fomenko_graph, compile_simple, to_dot
+from billiard_books import (
+    build_fomenko_graph,
+    compile_simple,
+    critical_levels,
+    enumerate_regimes,
+    to_dot,
+)
 from billiard_books.catalog import CATALOG, FIXTURE_FAMILY
 
 from test_games import random_valid_game
@@ -147,6 +160,66 @@ COMPILED_REGIME_HASHES = [
 ]
 
 
+CATALOG_BAND_HASHES = {
+    "annulus_two_disks": "87d9340bb388df095e7fa14dcee60895e5139097cb2e210b7941a7a12b799523",
+    "chain_five": "a73d862d92264cc0d090e18eb55cb2dc85438ef383470f8a667265f5396726e4",
+    "chain_five_inverted": "af01faf7a51a62cc63648091babfb757ad285ba21fd4ba899f134648b025d8ff",
+    "chain_six": "439f7ddf10b87790149aa2082009af1d421622f22534983cb95a027a89d880e4",
+    "four_sheets": "80052ec8c2ea3a9528e0251be29f1af000426ab333b77f74c55fdb1400446061",
+    "four_sheets_inverted": "f6256289c9715ca9e6bab96c4941e0a9c050dcdf0c50a193d12a961ffff047b0",
+    "three_sheets": "fb6ccbe93dc329d9d9973fc3f85f007022ea9be642e4932730b9509119442292",
+    "three_sheets_inverted": "71a21c9ffb48699b6644f70dbb3da108c1b7a398fddd00fb479fa8dad4fd2290",
+    "two_annuli": "1a758d0d2ab341fdd287147f8f1f5066055d092945cce563362ddb24e0b2ee4e",
+    "two_annuli_disk_pair": "2805dbe99be265586b58ed06691008d74afe4131334ffaf142b6b91dd35252ac",
+    "two_annuli_two_disks": "f0ff87f24a4bd1c2064a881858dd6b8a1dd73a2f6efcfeb4a84adb16ec0e09dc",
+}
+
+COMPILED_BAND_HASHES = [
+    ((3.2, 1.6), (-1, 1),
+     '85f07d101864a40b972318eae7df46e444147467e9e493da59617a9ac27313f8'),
+    ((0.8, 0.0), (-1, 1),
+     'ee7488a5ed4f27ac8d663a7059e336b0acd0702fc402c629fe522c4b47eee319'),
+    ((0.0, 3.2), (1, 1),
+     '23f1afe31db0669cb6f4561f0c352ef4d84b6ca209b87a4354ae501c6f1fb3d3'),
+    ((1.6, 2.4, 3.2), (1, 1, 1),
+     '1080d54bff5dbee82558f237c85dfcb762f4855ff099ca9c6c37233e9e10ba26'),
+    ((2.4, 1.6, 3.2), (1, 1, 1),
+     '59fa0f4f60825f089de163ce41a8243be8c28e3cbfe7459202c15ede72d9cfb5'),
+    ((2.4, 0.0, 1.6), (-1, 1, 1),
+     'c0ae00c9e6933f2376469117b89e60c8f49e8a1ad9f76e42a5f27d57825ee220'),
+    ((1.6, 0.0, 1.6, 0.8), (-1, 1, -1, 1),
+     'bf812c5ac63a49966f5da18b6beff5e4d1eef9969f3f66d146b57edacea2a5a4'),
+    ((2.4, 0.8, 2.4, 3.2), (1, 1, 1, 1),
+     '7187bcb831991abd8678cef77cd64575ba22fd7a216c83b117b7456feb19097f'),
+    ((2.4, 3.2, 1.6, 3.2), (1, -1, 1, -1),
+     'dc30fbe0f0366dd02dcba81806f466c851993f8a3dceb619f7e2d70e48f9a579'),
+    ((2.4, 1.6, 2.4, 3.2, 1.6), (-1, 1, 1, -1, 1),
+     '44bb12293a97d119e385f4df79f7519c40c24ade999d9687fa0654ce8df0e352'),
+    ((2.4, 3.2, 0.0, 3.2, 1.6), (1, 1, 1, -1, 1),
+     '3321304f8d483a91482365dbd5cf8e707b098d05ada175b077d9fad6b51c442d'),
+    ((2.4, 0.8, 1.6, 3.2, 0.8), (1, 1, 1, -1, 1),
+     'fadb41b69fed20cdb66316ad44ef7c10cea66b432e824f7a80e915eb99483848'),
+    ((0.8, 3.2, 2.4, 0.0, 0.8, 2.4), (1, -1, 1, 1, 1, -1),
+     '3c641bcd6a551f62f8c28f47dc60e45af1be8ddf4064001899c344cf4d98e492'),
+    ((0.8, 3.2, 2.4, 1.6, 0.0, 3.2), (1, -1, 1, 1, 1, -1),
+     '222035723e5c6ac598bbc7436f421f56db0750f0c17e68c2ff65cdae120a29da'),
+    ((0.0, 3.2, 0.0, 2.4, 1.6, 3.2), (1, 1, 1, -1, 1, 1),
+     '18fb9b67eac2fcd375cc1a976f878bfa40db5f1d458e3b9655a4dd1f8752b475'),
+    ((0.8, 0.0, 1.6, 2.4, 0.0, 2.4, 1.6), (1, 1, 1, 1, 1, -1, 1),
+     '4269aa7cc0a2a8d3d425800817ef0a31f095984cc515ed473aaf68a5739e1862'),
+    ((1.6, 3.2, 0.0, 1.6, 0.0, 1.6, 3.2), (1, 1, 1, 1, 1, 1, -1),
+     '51a5ff2a0584ac0871422b05e956a28f4f512b9f2988a6dd940971454cede3a9'),
+    ((0.8, 3.2, 0.0, 1.6, 0.8, 2.4, 1.6), (1, 1, 1, -1, 1, 1, 1),
+     'cf130961f707058d6eb9b09063b4a3240ad6ec77f539a3e3a6c91663b0829b29'),
+    ((2.4, 3.2, 2.4, 1.6, 3.2, 2.4, 0.0, 0.8), (1, 1, 1, 1, 1, 1, 1, 1),
+     '2a3bb95ea266aa9b7af8a68a925fa587b066805229f4b897b9639249b0441735'),
+    ((3.2, 0.8, 0.0, 2.4, 3.2, 0.8, 3.2, 0.8), (-1, 1, 1, 1, -1, 1, 1, 1),
+     '50da4c37c6be3848354f62cf06c7ef5bfd4a69888c03c842976cf0fd49150030'),
+    ((3.2, 0.0, 3.2, 2.4, 0.8, 1.6, 2.4, 1.6), (1, 1, -1, 1, 1, 1, 1, 1),
+     '887aed58135aa9d9d8a02fce2707b9e125078b6fd2dff1db4f738f59cb16a6bf'),
+]
+
+
 def _dot_hash(book) -> str:
     return hashlib.sha256(to_dot(build_fomenko_graph(book)).encode()).hexdigest()
 
@@ -157,6 +230,17 @@ def _regime_hash(book) -> str:
     rows = [
         (i, j, r.caustic_interval, r.key(), r.orientation)
         for i, j, r in build_fomenko_graph(book).edges
+    ]
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _band_hash(book) -> str:
+    """sha256 of every band's regimes, as (interval, key, orientation) in
+    ``enumerate_regimes``'s order, bands ascending."""
+    levels = critical_levels(book)
+    rows = [
+        [(r.caustic_interval, r.key(), r.orientation) for r in enumerate_regimes(book, mid)]
+        for mid in ((lo + hi) / 2.0 for lo, hi in zip(levels, levels[1:]))
     ]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
@@ -191,3 +275,13 @@ def test_catalog_regimes_unchanged(name):
 def test_compiled_regimes_unchanged():
     got = [(g.betas, g.signature, _regime_hash(book)) for g, book in compiled_books()]
     assert got == COMPILED_REGIME_HASHES
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_bands_unchanged(name):
+    assert _band_hash(CATALOG[name]()) == CATALOG_BAND_HASHES[name]
+
+
+def test_compiled_bands_unchanged():
+    got = [(g.betas, g.signature, _band_hash(book)) for g, book in compiled_books()]
+    assert got == COMPILED_BAND_HASHES

@@ -257,6 +257,11 @@ def test_admissible_start_ranges(family):
     assert admissible_caustic_range(rep.game) == ((2.0, 4.0), (4.0, 9.0))
 
 
+def test_admissible_start_without_game_refuses_nan_caustic(books):
+    # no direction is tangent to a NaN caustic, so no start is found
+    assert admissible_start(books["chain_six"], 1, math.nan, 0) is None
+
+
 def test_realization_short(family):
     for betas, sig in [
         ((0.0, 2.0), (1, 1)),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,12 @@ def test_enumerate_rejects_critical_values(books):
         enumerate_regimes(books["annulus_two_disks"], 2.0)
     with pytest.raises(CriticalLambda):
         enumerate_regimes(books["annulus_two_disks"], -0.5)
+
+
+def test_enumerate_rejects_nan(books):
+    # NaN fails both range comparisons; it must not reach the band search
+    with pytest.raises(CriticalLambda, match="outside the dynamical range"):
+        enumerate_regimes(books["chain_six"], math.nan)
 
 
 @pytest.mark.parametrize("target", [0, 1])
@@ -449,6 +457,7 @@ def test_random_books_conserve_regimes_and_fill_atoms(family):
             every = [s.key() for s in topology._reflection_states(book, (lo + hi) / 2)]
             assert sorted(states) == sorted(every), (game, lo)
             keys = [r.key() for r in regimes]
+            assert keys == sorted(keys), (game, lo)
             covering = [
                 r for _, _, r in graph.edges
                 if r.caustic_interval[0] <= lo and hi <= r.caustic_interval[1]
