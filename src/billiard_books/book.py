@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .conics import ConfocalFamily
 
@@ -79,6 +79,33 @@ def boundary_side(leaf: Leaf, ellipse_param: float) -> Side:
     raise NotABoundary(f"{ellipse_param} is not a boundary of leaf {leaf.id}")
 
 
+def _walk_cycles(seeds: Iterable, successor: Callable, error: Exception) -> list[list[tuple]]:
+    """The cycles of a permutation of states, each walked from the first
+    seed on it, in seed order.
+
+    ``successor(state)`` returns the next state and the extras met on the
+    way to it; each cycle is a list of (state, extras) pairs.  A walk that
+    meets a state walked before, by itself or an earlier cycle, before it
+    comes back to its seed raises ``error``: the map is not a permutation.
+    """
+    walked: set = set()
+    cycles: list[list[tuple]] = []
+    for seed in seeds:
+        if seed in walked:
+            continue
+        walk: list[tuple] = []
+        cur = seed
+        while not walk or cur != seed:
+            if cur in walked:
+                raise error
+            walked.add(cur)
+            nxt, extras = successor(cur)
+            walk.append((cur, extras))
+            cur = nxt
+        cycles.append(walk)
+    return cycles
+
+
 @dataclass(frozen=True)
 class GluingPermutation:
     """Permutation of the leaves sharing one boundary ellipse."""
@@ -100,22 +127,14 @@ class GluingPermutation:
 
     def cycles(self) -> list[list[int]]:
         """Disjoint cycles, each rotated to start at its least element and
-        sorted by that element; fixed points omitted."""
-        seen: set[int] = set()
-        out: list[list[int]] = []
-        for start in sorted(self.mapping):
-            if start in seen:
-                continue
-            cyc = [start]
-            seen.add(start)
-            cur = self.mapping[start]
-            while cur != start:
-                cyc.append(cur)
-                seen.add(cur)
-                cur = self.mapping[cur]
-            if len(cyc) > 1:
-                out.append(cyc)
-        return out
+        sorted by that element; fixed points omitted.  Raises BookError when
+        the mapping is not a permutation."""
+        walks = _walk_cycles(
+            sorted(self.mapping),
+            lambda leaf_id: (self.image(leaf_id), ()),
+            BookError(f"gluing at {self.ellipse} is not a permutation"),
+        )
+        return [[leaf_id for leaf_id, _ in walk] for walk in walks if len(walk) > 1]
 
     def inverse(self) -> "GluingPermutation":
         return GluingPermutation(self.ellipse, {v: k for k, v in self.mapping.items()})

@@ -86,10 +86,10 @@ class ConicParam:
 def classify_conic(family: ConfocalFamily, lam: float) -> ConicParam:
     """Classify the member C_lam of the family.
 
-    Raises EmptyConic for lam > a (no real points).
+    Raises EmptyConic for lam > a (no real points) and for NaN.
     """
-    if lam > family.a:
-        raise EmptyConic(f"lam={lam} exceeds a={family.a}")
+    if not lam <= family.a:  # NaN fails every comparison, so it lands here
+        raise EmptyConic(f"lam={lam} is not a conic parameter <= a={family.a}")
     if lam == family.a:
         kind = ConicKind.DEGENERATE_MINOR_AXIS
     elif lam == family.b:
@@ -246,26 +246,6 @@ def directions_with_caustic(
             uniq.append(v)
     uniq.sort(key=lambda v: math.atan2(v[1], v[0]))
     return uniq
-
-
-def rotate_to_caustic(
-    family: ConfocalFamily,
-    px: float,
-    py: float,
-    vx: float,
-    vy: float,
-    lam: float,
-) -> tuple[float, float] | None:
-    """Direction with caustic_parameter == lam closest to (vx, vy), or None
-    when the point admits no such direction."""
-    best = None
-    best_dot = -2.0
-    for wx, wy in directions_with_caustic(family, px, py, lam):
-        d = wx * vx + wy * vy
-        if d > best_dot:
-            best_dot = d
-            best = (wx, wy)
-    return best
 
 
 def winding_sign(px: float, py: float, vx: float, vy: float) -> int:

@@ -375,7 +375,9 @@ def verify_book(
     ``sample_trace``.  Returns (sample, first divergent reflection index)
     failures, (sample, number of reflections read) for a trace that ended
     short, or (sample, 0) when no start was found; an empty list means every
-    sample matched."""
+    sample matched.  Raises ValueError for a negative sample count."""
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     n = game.n
     want = [
         (beta, EventSide.FROM_INSIDE if sig == 1 else EventSide.FROM_OUTSIDE)

@@ -25,6 +25,10 @@ class RenderSpec:
     layout: str = "side-by-side"  # or "overlay"
     show_caustic: bool = False
 
+    def __post_init__(self) -> None:
+        if self.layout not in ("side-by-side", "overlay"):
+            raise ValueError(f"unknown layout {self.layout!r}")
+
 
 def _fmt(x: float) -> str:
     return f"{x:.6g}"
@@ -109,12 +113,8 @@ def trajectory_svg(
                 f'stroke="#1d1d1d" stroke-width="{_fmt(_STROKE * 1.3)}"/>'
             )
 
-    if spec.layout == "side-by-side":
-        width = pitch * len(leaves)
-        x_lo = -sx0 - _MARGIN
-    else:
-        width = pitch
-        x_lo = -sx0 - _MARGIN
+    width = pitch * len(leaves) if spec.layout == "side-by-side" else pitch
+    x_lo = -sx0 - _MARGIN
     height = 2.0 * (sy0 + _MARGIN)
     view = f"{_fmt(x_lo)} {_fmt(-sy0 - _MARGIN)} {_fmt(width)} {_fmt(height)}"
     parts = [

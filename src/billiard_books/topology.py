@@ -16,9 +16,10 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, NamedTuple
 
-from .book import BilliardBook, Side, boundary_side
+from .book import BilliardBook, Side, _walk_cycles, boundary_side
 from .conics import inward_normal
 from .conics import directions_with_caustic, winding_sign  # noqa: F401  perfbench hooks them here
 from .dynamics import EventSide, PhaseState, Rule, glued_return_leaf, step, transition
@@ -170,21 +171,16 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
     below = max(lv for lv in levels if lv < lam)
     above = min(lv for lv in levels if lv > lam)
 
-    walked: set[RegimeState] = set()
-    keyed: list[tuple[list[tuple], RegimeDescriptor]] = []
-    for seed in _reflection_states(book, lam):
-        if seed in walked:
-            continue
-        cycle: list[RegimeState] = []  # each reflection, then the crossings after it
-        cur = seed
-        while not cycle or cur != seed:
-            if cur in walked:
-                raise TopologyError(f"transfer map at lam={lam} is not a permutation")
-            walked.add(cur)
-            nxt, passed = _transfer(book, lam, cur)
-            cycle += [cur, *passed]
-            cur = nxt
-        keyed.append(_build_regime((below, above), cycle))
+    walks = _walk_cycles(
+        _reflection_states(book, lam),
+        partial(_transfer, book, lam),
+        TopologyError(f"transfer map at lam={lam} is not a permutation"),
+    )
+    # a torus's cycle: each reflection, then the crossings after it
+    keyed = [
+        _build_regime((below, above), [s for st, passed in walk for s in (st, *passed)])
+        for walk in walks
+    ]
     keyed.sort(key=lambda kr: kr[0])
     return [r for _, r in keyed]
 
@@ -297,67 +293,45 @@ class CriticalCircle:
         return f"{self.axis}-axis orbit, {len(self.reflections)} reflections at " + " ".join(pts)
 
 
-def _axis_extent(book: BilliardBook, axis: str, e: float) -> float:
-    fam = book.family
-    return math.sqrt((fam.a if axis == "x" else fam.b) - e)
-
-
 def axis_bounce_circles(book: BilliardBook, axis: str) -> list[CriticalCircle]:
     """Decompose the directed bounce walk along a degenerate caustic axis
     into its periodic orbits.
 
-    The particle slides along the axis through each leaf's segment, reverses
-    at plain or same-side glued vertices and passes straight through
-    opposite-side glued ones, exactly as the full dynamics does in the
-    degenerate limit.
+    A state is the vertex (leaf, ellipse, half-axis sign) the particle is
+    sliding towards along the axis.  There it reflects at a plain or
+    same-side glued vertex and passes straight through an opposite-side
+    glued one, exactly as the full dynamics does in the degenerate limit;
+    either way it next slides away from the vertex through the image leaf:
+    from an annulus's outer ellipse to its hole on the same half, from a
+    hole to the outer ellipse on the same half, across a disk to the
+    opposite vertex.  The vertices lie in the same order on both axes, so
+    ``axis`` only labels the circles.
     """
-    segments: list[tuple[int, float, float, float, float]] = []
-    # (leaf_id, lo, hi, ellipse at lo, ellipse at hi)
-    # (leaf id, half-axis sign) -> the leaf's segment, with its vertices, on that half
-    on_half: dict[tuple[int, int], int] = {}
-    for lf in book.leaves:
-        m_out = _axis_extent(book, axis, lf.outer)
-        on_half[lf.id, 1] = len(segments)
-        if lf.is_disk:
-            segments.append((lf.id, -m_out, m_out, lf.outer, lf.outer))
-        else:
-            m_in = _axis_extent(book, axis, lf.inner)
-            segments.append((lf.id, m_in, m_out, lf.inner, lf.outer))
-            segments.append((lf.id, -m_out, -m_in, lf.outer, lf.inner))
-        on_half[lf.id, -1] = len(segments) - 1
 
-    def bounce(seg_idx: int, direction: int):
-        lid, lo, hi, e_lo, e_hi = segments[seg_idx]
-        half = 1 if (hi if direction > 0 else lo) > 0 else -1  # the vertex's half-axis sign
-        e = e_hi if direction > 0 else e_lo
+    def bounce(vertex: tuple[int, float, int]):
+        lid, e, half = vertex
         rule, side, image = transition(book, lid, e)
-        if rule is Rule.R3:
-            new_dir = direction
-            refl = None
-        else:
-            new_dir = -direction  # reflection at the vertex reverses the slide
-            refl = (e, side._value_, lid, image, half)
-        return on_half[image, half], new_dir, refl
+        refl = () if rule is Rule.R3 else ((e, side._value_, lid, image, half),)
+        lf = book.leaf(image)
+        if lf.is_disk:
+            return (image, lf.outer, -half), refl
+        if boundary_side(lf, e) is Side.WITHIN:
+            return (image, lf.inner, half), refl
+        return (image, lf.outer, half), refl
 
-    states = [(i, d) for i in range(len(segments)) for d in (1, -1)]
-    seen: set[tuple[int, int]] = set()
-    circles: list[CriticalCircle] = []
-    for start in states:
-        if start in seen:
-            continue
-        orbit: list[tuple[int, int]] = []
-        reflections: list[tuple] = []
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            orbit.append(cur)
-            nxt_seg, nxt_dir, refl = bounce(*cur)
-            if refl is not None:
-                reflections.append(refl)
-            cur = (nxt_seg, nxt_dir)
-        if cur != start:  # pragma: no cover - the walk is a permutation
-            raise TopologyError("axis bounce walk is not a permutation")
-        circles.append(CriticalCircle(axis, tuple(reflections)))
+    # each leaf's vertices in the order a slide from the positive end of the
+    # axis meets them; a circle's reflections start where its first seed is
+    seeds = []
+    for lf in book.leaves:
+        if lf.is_disk:
+            seeds += [(lf.id, lf.outer, 1), (lf.id, lf.outer, -1)]
+        else:
+            seeds += [(lf.id, lf.outer, 1), (lf.id, lf.inner, 1)]
+            seeds += [(lf.id, lf.inner, -1), (lf.id, lf.outer, -1)]
+    walks = _walk_cycles(seeds, bounce, TopologyError("axis bounce walk is not a permutation"))
+    circles = [
+        CriticalCircle(axis, tuple(r for _, refl in walk for r in refl)) for walk in walks
+    ]
     circles.sort(key=lambda c: sorted(c.reflections))
     return circles
 
@@ -496,13 +470,15 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
     # saddle atoms.  lam = a: each minor-axis bounce orbit closes the
     # hyperbolic family with its signed reflection classes.  Distinct orbits
     # there have disjoint, non-empty reflection sets, so each group holds at
-    # most one circle.
-    for lam, axis, signed, regimes, unmatched in (
-        (fam.b, "x", False, regs[m - 2], "no critical circle matched"),
-        (fam.a, "y", True, [], "no minor-axis orbit matched"),
+    # most one circle.  The bounce walk is the same on both axes; only the
+    # circles' axis label differs.
+    major = axis_bounce_circles(book, "x")
+    for lam, circles, signed, regimes, unmatched in (
+        (fam.b, major, False, regs[m - 2], "no critical circle matched"),
+        (fam.a, [replace(c, axis="y") for c in major], True, [], "no minor-axis orbit matched"),
     ):
         key_groups: dict[frozenset, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
-        for c in axis_bounce_circles(book, axis):
+        for c in circles:
             key_groups[c.reflection_key(signed)][0].append(c)
         for chain in open_chains:
             key_groups[chain.regime.reflection_key(signed)][1].append(chain)

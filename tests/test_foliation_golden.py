@@ -20,6 +20,11 @@ regime in ``enumerate_regimes``'s order.  They were recorded the same way,
 on the library as it was before regime states became named tuples and each
 band's regimes were sorted by the key built with their canonical rotation.
 
+The circle hashes cover ``axis_bounce_circles`` on both axes, which
+``to_dot`` does not print: each circle's reflections, in the rotation its
+orbit starts from.  They were recorded the same way, on the library as it
+was before the bounce map became a walk over leaf vertices.
+
 ROADMAP item 1 (atom assembly at grazing levels) will change some rows on
 purpose: compiled books whose graphs have ``Unknown`` atoms at a glued
 ellipse.  That change must list each row it alters, with the reason.
@@ -31,6 +36,7 @@ import numpy as np
 import pytest
 
 from billiard_books import (
+    axis_bounce_circles,
     build_fomenko_graph,
     compile_simple,
     critical_levels,
@@ -219,6 +225,65 @@ COMPILED_BAND_HASHES = [
      '887aed58135aa9d9d8a02fce2707b9e125078b6fd2dff1db4f738f59cb16a6bf'),
 ]
 
+CATALOG_CIRCLE_HASHES = {
+    "annulus_two_disks": "995c0a82fe6f7210fc4d536e78990a82834faf3df7cdc7885379aeae279cfebe",
+    "chain_five": "1ad5ce802a5a520a25925bb2facf8944bf210cf76f7492e369d74beab29fdf5e",
+    "chain_five_inverted": "aca67af030b1a0832c7cde49d0b76f74586382d2757c2b484f567b34e44c2850",
+    "chain_six": "3471f1d4123f423ff58c1ed4b6b0d0886cd3f36644f033a9afe0f855091ceb33",
+    "four_sheets": "2da0a6df95f9f5d09385ce706b33435e96b4db549aa9b9dab8059ae0cd4f0da6",
+    "four_sheets_inverted": "efffaba2bcee6cc07bf6d406770af9cd284b27ad114507db81aa6dda7c1949d0",
+    "three_sheets": "523a8612804fd0346ecfddc3cd6a0f895352eab49c2542ae56e0b158c8c73578",
+    "three_sheets_inverted": "ea5ba155acf82949679bd71cca1dc15dd088c3cf0d2b1242fe8204f43539f43a",
+    "two_annuli": "fe6a0abd4543c5a9638c382bbfc54219c9ff3bff19610e340da11a6f29e114fd",
+    "two_annuli_disk_pair": "8bb5ef6acc02b13fa30e3b7a49cb56014b1653712c7dede3170433d2e5afb704",
+    "two_annuli_two_disks": "b92bb4178406d7d7dcb066d9a138d6b8e1c2e85a5442d65e1eca6c18033bff1c",
+}
+
+COMPILED_CIRCLE_HASHES = [
+    ((3.2, 1.6), (-1, 1),
+     '5bb6b1a1329d70e1f790095dc99665de186ba90e76a80eb9a10aac770a3eaa73'),
+    ((0.8, 0.0), (-1, 1),
+     '05957fda9b8082337604d5f2b1f38d9f891631960ae48ff367309e2cb4a4d593'),
+    ((0.0, 3.2), (1, 1),
+     '9366cace0cf8648eceb6239d86e9ab3f7acc3cddaa214fae8ff85174b034a95c'),
+    ((1.6, 2.4, 3.2), (1, 1, 1),
+     'd09987d30138f1fd7af05b63f1d4daf1396c5a968bd0605edb15ea1890402358'),
+    ((2.4, 1.6, 3.2), (1, 1, 1),
+     '97cec9e6745d0013a9fb315626036a27633f1f6ce42c13bb90f527ca3a4a05d4'),
+    ((2.4, 0.0, 1.6), (-1, 1, 1),
+     '3cfcce796eeb3e0bbf6cf72e9cb13076361b543dfe840f862b43ec29e6ce2f22'),
+    ((1.6, 0.0, 1.6, 0.8), (-1, 1, -1, 1),
+     '164ee178ea38ced800ac404cc9eb4a62ddb54fb96e4239ae3fecf4ea0ef28d5e'),
+    ((2.4, 0.8, 2.4, 3.2), (1, 1, 1, 1),
+     'c20e98eb3b9aab4752080d4f801c26424fc86e51d1c14c1c8deb6b257964e8ad'),
+    ((2.4, 3.2, 1.6, 3.2), (1, -1, 1, -1),
+     '529c9b57217a0cf42269cc1ecefc664e47a93dce2d2654bf9c2c526ab01151e8'),
+    ((2.4, 1.6, 2.4, 3.2, 1.6), (-1, 1, 1, -1, 1),
+     'c7f07697aa8d6f83ee5d95c7030f688e2307b8c0b96c9e28c86ac652e686080b'),
+    ((2.4, 3.2, 0.0, 3.2, 1.6), (1, 1, 1, -1, 1),
+     'e444663510d6baea9d2c6475f4b7c52e158970eabcd15176f4d009ef69904a9a'),
+    ((2.4, 0.8, 1.6, 3.2, 0.8), (1, 1, 1, -1, 1),
+     '444a7a8612d36cd6b1ce0cdd8ef2c3ea1c520ef6d898d4eba922173950ecc34a'),
+    ((0.8, 3.2, 2.4, 0.0, 0.8, 2.4), (1, -1, 1, 1, 1, -1),
+     '5dd4c31b859fda70000558c03e0421ecd4325f2461f6215bdbf9e892faf53b0a'),
+    ((0.8, 3.2, 2.4, 1.6, 0.0, 3.2), (1, -1, 1, 1, 1, -1),
+     'ffa58e667d00284fe7296936b42430e125ba2f6be84ce84ae00736dd03529188'),
+    ((0.0, 3.2, 0.0, 2.4, 1.6, 3.2), (1, 1, 1, -1, 1, 1),
+     '2a4cdde280145cc367592bf52cebbe9083cc639767e81cc6ebd160cd5d7f68d4'),
+    ((0.8, 0.0, 1.6, 2.4, 0.0, 2.4, 1.6), (1, 1, 1, 1, 1, -1, 1),
+     '41b3cdaa29d1fe390715f9ecddac7fd78fbb5f1f4839edf346528ac47c71c951'),
+    ((1.6, 3.2, 0.0, 1.6, 0.0, 1.6, 3.2), (1, 1, 1, 1, 1, 1, -1),
+     '1b923c4141b320fcae0832543b4332621856232d36d50966709d30ec93b4c561'),
+    ((0.8, 3.2, 0.0, 1.6, 0.8, 2.4, 1.6), (1, 1, 1, -1, 1, 1, 1),
+     '1e5a518bda658e534f5f9c26045bbddcadbcf43b2cde81440d033f1a5f026afc'),
+    ((2.4, 3.2, 2.4, 1.6, 3.2, 2.4, 0.0, 0.8), (1, 1, 1, 1, 1, 1, 1, 1),
+     'a49522831f5c16d09a0fd2d123d9f95d7bb0b8bc68b0c21b3b0c4c7cb897d178'),
+    ((3.2, 0.8, 0.0, 2.4, 3.2, 0.8, 3.2, 0.8), (-1, 1, 1, 1, -1, 1, 1, 1),
+     'bc8741fbfe14dced041a2fee11659067cbae310134f4c8f66f069dbb756c6e85'),
+    ((3.2, 0.0, 3.2, 2.4, 0.8, 1.6, 2.4, 1.6), (1, 1, -1, 1, 1, 1, 1, 1),
+     'f41e4fdd40dcd1bc2627ad2bde645cd0b19cc7a957cad91adcec7476852baa32'),
+]
+
 
 def _dot_hash(book) -> str:
     return hashlib.sha256(to_dot(build_fomenko_graph(book)).encode()).hexdigest()
@@ -243,6 +308,13 @@ def _band_hash(book) -> str:
         for mid in ((lo + hi) / 2.0 for lo, hi in zip(levels, levels[1:]))
     ]
     return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def _circle_hash(book) -> str:
+    """sha256 of the axis bounce circles on both axes, each circle's
+    reflections in the order its orbit walks them."""
+    circles = [axis_bounce_circles(book, axis) for axis in "xy"]
+    return hashlib.sha256(repr(circles).encode()).hexdigest()
 
 
 def compiled_books():
@@ -285,3 +357,13 @@ def test_catalog_bands_unchanged(name):
 def test_compiled_bands_unchanged():
     got = [(g.betas, g.signature, _band_hash(book)) for g, book in compiled_books()]
     assert got == COMPILED_BAND_HASHES
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_circles_unchanged(name):
+    assert _circle_hash(CATALOG[name]()) == CATALOG_CIRCLE_HASHES[name]
+
+
+def test_compiled_circles_unchanged():
+    got = [(g.betas, g.signature, _circle_hash(book)) for g, book in compiled_books()]
+    assert got == COMPILED_CIRCLE_HASHES

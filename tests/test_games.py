@@ -280,6 +280,16 @@ def test_sample_without_a_start_fails_at_index_0(family):
     assert verify_realization(off, samples=4) == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
+def test_verify_refuses_negative_sample_counts(family):
+    # no samples is no check; a negative count is an error, not a vacuous pass
+    rep = compile_simple(game(family, (0.0, 2.0), (1, 1)))
+    assert verify_realization(rep, samples=0) == []
+    with pytest.raises(ValueError, match="-3"):
+        verify_realization(rep, samples=-3)
+    with pytest.raises(ValueError, match="-1"):
+        games.verify_book(rep.book, rep.game, rep.start_leaf_id, samples=-1)
+
+
 def test_first_reflection_is_on_first_ellipse(family):
     rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
     st = admissible_start(rep.book, rep.start_leaf_id, 6.5, seed=4, game=rep.game)

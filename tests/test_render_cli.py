@@ -44,6 +44,12 @@ def test_svg_overlay_with_caustic(books):
     assert "stroke-dasharray" in svg
 
 
+def test_render_spec_refuses_unknown_layout():
+    # an unknown layout was drawn as an overlay without a word
+    with pytest.raises(ValueError, match="bogus"):
+        RenderSpec(layout="bogus")
+
+
 def test_svg_refuses_oversized_book(family):
     leaves = [disk(i, 2.0) for i in range(1, 66)]
     book = make_book(family, leaves, [(2.0, [list(range(1, 66))])])

@@ -26,7 +26,12 @@ from billiard_books import topology
 from billiard_books.book import BilliardBook, GluingPermutation, annulus, validate_book
 from billiard_books.catalog import FIXTURE_FAMILY
 from billiard_books.dynamics import EventSide, TangentialHit
-from billiard_books.topology import ATOM_EDGE_CAPACITY, FomenkoGraph, TopologyError
+from billiard_books.topology import (
+    ATOM_EDGE_CAPACITY,
+    CriticalCircle,
+    FomenkoGraph,
+    TopologyError,
+)
 
 import _stepped_regimes
 from _stepped_regimes import stepped_regimes
@@ -386,6 +391,30 @@ def test_axis_circle_counts(books):
     assert len(axis_bounce_circles(books["annulus_two_disks"], "x")) == 2
     assert len(axis_bounce_circles(books["chain_five"], "x")) == 1
     assert len(axis_bounce_circles(books["chain_six"], "y")) == 3
+
+
+def test_axis_circles_match_boundaries_to_gluing_keys_with_tolerance():
+    # every glued ellipse parameter sits 3e-13 off its gluing key, on both
+    # sides of the keys at 0 and 1.6 (inside PARAM_TOL), so the walk must
+    # match a vertex to the image leaf's outer ellipse within that tolerance;
+    # each circle reflects at C_0 once on each half-axis, switching between
+    # leaves 1 and 3, and passes straight through the holes
+    d = 3e-13
+    book = BilliardBook(
+        FIXTURE_FAMILY,
+        (annulus(1, d, 1.6 - d), disk(2, 1.6 + d), annulus(3, -d, 0.8), disk(4, 0.8 + d)),
+        (
+            GluingPermutation(0.0, {1: 3, 3: 1}),
+            GluingPermutation(1.6, {1: 2, 2: 1}),
+            GluingPermutation(0.8, {3: 4, 4: 3}),
+        ),
+    )
+    assert validate_book(book) == []
+    for axis in "xy":
+        assert axis_bounce_circles(book, axis) == [
+            CriticalCircle(axis, ((d, "FromInside", 1, 3, 1), (-d, "FromInside", 3, 1, -1))),
+            CriticalCircle(axis, ((d, "FromInside", 1, 3, -1), (-d, "FromInside", 3, 1, 1))),
+        ]
 
 
 def test_to_dot_deterministic(books):
