@@ -245,6 +245,12 @@ def validate_book(book: BilliardBook) -> list[Violation]:
                     f"gluing at {g.ellipse}: domain mismatch (missing {missing}, extra {extra})",
                 )
             )
+        # transition matches each leaf's own parameter on its image leaf
+        ps = [p for lf in book.leaves for p in lf.boundary_params()]
+        ps = [p for p in ps if abs(p - g.ellipse) <= PARAM_TOL]
+        if ps and max(ps) - min(ps) > PARAM_TOL:
+            msg = f"gluing at {g.ellipse}: leaf boundaries {min(ps)} and {max(ps)} differ"
+            out.append(Violation("BadDomain", f"{msg} by more than {PARAM_TOL}"))
         if sorted(g.mapping.values()) != sorted(g.mapping):
             out.append(Violation("NotBijective", f"gluing at {g.ellipse} is not a permutation"))
     return out

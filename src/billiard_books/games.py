@@ -288,12 +288,15 @@ def compile_simple(game: OrderedGame) -> CompileReport:
 
 def leaf_count_bounds(game: OrderedGame) -> tuple[int, int, int]:
     """(lower, upper, s) with lower = 2n - 2s, upper = 2n, where s counts the
-    ellipses nested inside both cyclic neighbours.  Repeat-free games only."""
+    ellipses nested inside both cyclic neighbours.  Repeat-free games only.
+    A one-reflection game compiles to one leaf: (1, 1, 0)."""
     repeats = _repeats(game.betas)
     if repeats:
         k, j = repeats[0]
         raise ConsecutiveRepeat(f"positions {k} and {j} coincide")
     n = game.n
+    if n == 1:
+        return 1, 1, 0
     s = sum(
         1
         for k in range(n)

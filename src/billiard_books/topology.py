@@ -88,10 +88,15 @@ class RegimeDescriptor:
         return tuple(s.key() for s in self.states)
 
     def reflection_key(self, signed: bool) -> frozenset:
-        refl = self.reflection_states
-        if signed:
-            return frozenset(s.key() for s in refl)
-        return frozenset((s.ellipse, s.side._value_, s.leaf_before, s.leaf_after) for s in refl)
+        return _reflection_key((s.key() for s in self.reflection_states), signed)
+
+
+def _reflection_key(keys: Iterable[tuple], signed: bool) -> frozenset:
+    """The set of reflection ``RegimeState.key()`` tuples, with the sign or
+    without it (the first four fields)."""
+    if signed:
+        return frozenset(keys)
+    return frozenset(k[:4] for k in keys)
 
 
 def critical_levels(book: BilliardBook) -> list[float]:
@@ -118,48 +123,39 @@ def _reflection_states(book: BilliardBook, lam: float) -> list[RegimeState]:
     return out
 
 
-def _transfer(
-    book: BilliardBook, lam: float, state: RegimeState
-) -> tuple[RegimeState, list[RegimeState]]:
-    """The reflection state after ``state`` at caustic lam, with the
-    crossings passed on the way, read from the leaves and gluings alone.
+def _vertex_step(book: BilliardBook, lam: float, vertex: tuple) -> tuple[tuple, RegimeState]:
+    """The vertex after ``vertex`` at caustic lam, and the event met there.
 
-    A leaf entered at its outer ellipse is crossed to its hole when the
-    caustic reaches the hole (inner < lam, so always above b) and back to
-    the outer ellipse otherwise; that outer-to-outer chord crosses the
-    major axis, so a hyperbolic sign flips on it.  A leaf entered at its
-    hole is crossed to its outer ellipse.  ``transition`` decides what
-    happens there; an elliptic winding sign never changes.
+    A vertex (leaf, ellipse, sign) is the boundary the particle on that leaf
+    is heading for, with its winding sign (elliptic caustic) or half-plane
+    sign (hyperbolic caustic, down to the axis bounce at lam = a).
+    ``transition`` decides the event, a crossing carrying sign 0.  The next
+    chord runs in the image leaf: from a hole to the outer ellipse; from the
+    outer ellipse to the hole when the caustic reaches it (inner < lam, so
+    always above b) and back to the outer ellipse otherwise.  That
+    outer-to-outer chord crosses the major axis, so a hyperbolic sign flips
+    on it; an elliptic winding sign never changes.
     """
-    hyper = lam > book.family.b
-    crossings: list[RegimeState] = []
-    leaf_id, sign = state.leaf_after, state.sign
-    at_outer = state.side is EventSide.FROM_INSIDE
-    for _ in range(2 * len(book.leaves) + 2):
-        leaf = book.leaf(leaf_id)
-        to_hole = at_outer and leaf.inner is not None and leaf.inner < lam
-        if at_outer and not to_hole and hyper:
-            sign = -sign
-        e = leaf.inner if to_hole else leaf.outer
-        rule, side, after = transition(book, leaf_id, e)
-        if rule is not Rule.R3:
-            return RegimeState(e, side, leaf_id, after, sign), crossings
-        crossings.append(RegimeState(e, side, leaf_id, after, 0))
-        # a crossing lands on the far side: through a hole onto the outer
-        # ellipse of the leaf inside it, through an outer ellipse into a hole
-        leaf_id, at_outer = after, to_hole
-    raise TopologyError(f"transfer at lam={lam} met no reflection after {state}")
+    leaf_id, e, sign = vertex
+    rule, side, image = transition(book, leaf_id, e)
+    event = RegimeState(e, side, leaf_id, image, 0 if rule is Rule.R3 else sign)
+    leaf = book.leaf(image)
+    if boundary_side(leaf, e) is Side.OUTSIDE:
+        return (image, leaf.outer, sign), event
+    if leaf.inner is not None and leaf.inner < lam:
+        return (image, leaf.inner, sign), event
+    return (image, leaf.outer, -sign if lam > book.family.b else sign), event
 
 
 def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
     """All Liouville tori at a regular caustic value, as symbolic cycles.
 
-    The symbolic transfer map (``_transfer``) sends each reflection state
-    at lam to the next one, from the leaves and gluings alone.  Each state
-    that no regime holds yet seeds a walk along the map until the seed
-    comes back; the states passed, with the crossings between them, are one
-    torus.  The map must be a permutation of the reflection states: a walk
-    that meets a state walked before, by itself or an earlier regime,
+    The vertex map (``_vertex_step``) reads each event and the next vertex
+    from the leaves and gluings alone.  Each reflection state that no
+    regime holds yet seeds a walk from its vertex until the seed comes back;
+    the events met, reflections and crossings, are one torus.  The map must
+    be a permutation of the vertices: a walk that meets a vertex walked
+    before, by itself or an earlier regime, or that meets no reflection,
     raises TopologyError.
     """
     levels = critical_levels(book)
@@ -172,15 +168,16 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
     above = min(lv for lv in levels if lv > lam)
 
     walks = _walk_cycles(
-        _reflection_states(book, lam),
-        partial(_transfer, book, lam),
-        TopologyError(f"transfer map at lam={lam} is not a permutation"),
+        [(s.leaf_before, s.ellipse, s.sign) for s in _reflection_states(book, lam)],
+        partial(_vertex_step, book, lam),
+        TopologyError(f"vertex map at lam={lam} is not a permutation"),
     )
-    # a torus's cycle: each reflection, then the crossings after it
-    keyed = [
-        _build_regime((below, above), [s for st, passed in walk for s in (st, *passed)])
-        for walk in walks
-    ]
+    keyed = []
+    for walk in walks:
+        cycle = [ev for _, ev in walk]
+        if not any(ev.sign for ev in cycle):
+            raise TopologyError(f"vertex walk at lam={lam} met no reflection from {walk[0][0]}")
+        keyed.append(_build_regime((below, above), cycle))
     keyed.sort(key=lambda kr: kr[0])
     return [r for _, r in keyed]
 
@@ -279,12 +276,10 @@ class CriticalCircle:
 
     axis: str  # 'x' or 'y'
     reflections: tuple[tuple[float, str, int, int, int], ...]
-    # entries: (ellipse, side value, leaf_before, leaf_after, vertex sign)
+    # entries: each reflection's RegimeState.key(), its sign the vertex's half-axis
 
     def reflection_key(self, signed: bool) -> frozenset:
-        if signed:
-            return frozenset(self.reflections)
-        return frozenset(r[:4] for r in self.reflections)
+        return _reflection_key(self.reflections, signed)
 
     def describe(self) -> str:
         pts = sorted(
@@ -294,30 +289,18 @@ class CriticalCircle:
 
 
 def axis_bounce_circles(book: BilliardBook, axis: str) -> list[CriticalCircle]:
-    """Decompose the directed bounce walk along a degenerate caustic axis
-    into its periodic orbits.
+    """Decompose the bounce walk along a degenerate caustic axis into its
+    periodic orbits.
 
-    A state is the vertex (leaf, ellipse, half-axis sign) the particle is
-    sliding towards along the axis.  There it reflects at a plain or
-    same-side glued vertex and passes straight through an opposite-side
-    glued one, exactly as the full dynamics does in the degenerate limit;
-    either way it next slides away from the vertex through the image leaf:
-    from an annulus's outer ellipse to its hole on the same half, from a
-    hole to the outer ellipse on the same half, across a disk to the
-    opposite vertex.  The vertices lie in the same order on both axes, so
-    ``axis`` only labels the circles.
+    The walk is the vertex map ``_vertex_step`` at lam = a, the degenerate
+    hyperbolic caustic: the particle slides from an annulus's outer ellipse
+    to its hole on the same half, from a hole to the outer ellipse on the
+    same half, and across a disk to the opposite vertex, reflecting or
+    passing straight through at each vertex exactly as the full dynamics
+    does in the degenerate limit.  A circle is the walk's reflections.  The
+    vertices lie in the same order on both axes, so ``axis`` only labels
+    the circles.
     """
-
-    def bounce(vertex: tuple[int, float, int]):
-        lid, e, half = vertex
-        rule, side, image = transition(book, lid, e)
-        refl = () if rule is Rule.R3 else ((e, side._value_, lid, image, half),)
-        lf = book.leaf(image)
-        if lf.is_disk:
-            return (image, lf.outer, -half), refl
-        if boundary_side(lf, e) is Side.WITHIN:
-            return (image, lf.inner, half), refl
-        return (image, lf.outer, half), refl
 
     # each leaf's vertices in the order a slide from the positive end of the
     # axis meets them; a circle's reflections start where its first seed is
@@ -328,10 +311,12 @@ def axis_bounce_circles(book: BilliardBook, axis: str) -> list[CriticalCircle]:
         else:
             seeds += [(lf.id, lf.outer, 1), (lf.id, lf.inner, 1)]
             seeds += [(lf.id, lf.inner, -1), (lf.id, lf.outer, -1)]
-    walks = _walk_cycles(seeds, bounce, TopologyError("axis bounce walk is not a permutation"))
-    circles = [
-        CriticalCircle(axis, tuple(r for _, refl in walk for r in refl)) for walk in walks
-    ]
+    walks = _walk_cycles(
+        seeds,
+        partial(_vertex_step, book, book.family.a),
+        TopologyError("axis bounce walk is not a permutation"),
+    )
+    circles = [CriticalCircle(axis, tuple(ev.key() for _, ev in walk if ev.sign)) for walk in walks]
     circles.sort(key=lambda c: sorted(c.reflections))
     return circles
 

@@ -25,6 +25,7 @@ from billiard_books.book import (
     load_book,
     save_book,
 )
+from billiard_books.dynamics import transition
 
 
 def codes(violations):
@@ -44,6 +45,26 @@ def test_missing_domain_leaf(family):
         (GluingPermutation.from_cycles(2.0, [[1, 2]]),),
     )
     assert "BadDomain" in codes(validate_book(book))
+
+
+@pytest.mark.parametrize(
+    "off, valid", [(5e-13, False), (4e-13, True)], ids=["1e-12-apart", "8e-13-apart"]
+)
+def test_gluing_leaves_must_share_the_ellipse(family, off, valid):
+    # both boundaries lie within PARAM_TOL of the gluing key; transition
+    # needs them within PARAM_TOL of each other as well
+    book = BilliardBook(
+        family,
+        (annulus(1, 0.0, 1.6 - off), disk(2, 1.6 + off)),
+        (GluingPermutation(1.6, {1: 2, 2: 1}),),
+    )
+    if valid:
+        assert validate_book(book) == []
+        assert transition(book, 1, 1.6 - off)[2] == 2
+    else:
+        assert codes(validate_book(book)) == ["BadDomain"]
+        with pytest.raises(NotABoundary):
+            transition(book, 1, 1.6 - off)
 
 
 def test_bad_leaf_order(family):

@@ -178,6 +178,8 @@ def test_leaf_count_bounds(family):
     assert leaf_count_bounds(game(family, (0.0, 2.0), (1, -1))) == (2, 4, 1)
     assert compile_simple(game(family, (0.0, 2.0), (1, 1))).leaf_count == 4
     assert compile_simple(game(family, (0.0, 2.0), (1, -1))).leaf_count == 2
+    assert leaf_count_bounds(game(family, (1.0,), (1,))) == (1, 1, 0)
+    assert compile_simple(game(family, (1.0,), (1,))).leaf_count == 1
 
 
 def random_valid_game(family, rng, n):
@@ -255,6 +257,15 @@ def test_admissible_start_ranges(family):
     with pytest.raises(InadmissibleCaustic):
         admissible_start(rep.book, rep.start_leaf_id, 1.0, seed=0, game=rep.game)
     assert admissible_caustic_range(rep.game) == ((2.0, 4.0), (4.0, 9.0))
+
+
+@pytest.mark.parametrize("caustic", [2.0, 4.0, 9.0, 10.0, math.nan])
+def test_admissible_start_refuses_inadmissible_caustic(family, caustic):
+    # the ranges are open: (2, 4) inside both game ellipses, (4, 9) hyperbolae;
+    # b = 4 itself, their ends, values outside both and NaN are refused
+    rep = compile_simple(game(family, (0.0, 2.0), (1, 1)))
+    with pytest.raises(InadmissibleCaustic, match="not an ellipse inside all game ellipses"):
+        admissible_start(rep.book, rep.start_leaf_id, caustic, seed=0, game=rep.game)
 
 
 def test_admissible_start_without_game_refuses_nan_caustic(books):

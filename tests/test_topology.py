@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -75,37 +76,35 @@ def test_enumerate_rejects_nan(books):
 
 @pytest.mark.parametrize("target", [0, 1])
 def test_enumerate_regimes_refuses_non_permutation(books, monkeypatch, target):
-    # a transfer map sending every reflection state to one state is not a
-    # permutation: with target 0 a later walk meets a state walked before, with
-    # target 1 the first walk never returns to its seed
+    # a vertex map sending every vertex to one reflection vertex is not a
+    # permutation: with target 0 a later walk meets a vertex walked before,
+    # with target 1 the first walk never returns to its seed
     book = books["annulus_two_disks"]
-    real = topology._transfer
-    into = topology._reflection_states(book, 1.0)[target]
+    real = topology._vertex_step
+    s = topology._reflection_states(book, 1.0)[target]
+    into = (s.leaf_before, s.ellipse, s.sign)
 
-    def collapsing(book_, lam, state):
-        _, crossings = real(book_, lam, state)
-        return into, crossings
+    def collapsing(book_, lam, vertex):
+        _, event = real(book_, lam, vertex)
+        return into, event
 
-    monkeypatch.setattr(topology, "_transfer", collapsing)
+    monkeypatch.setattr(topology, "_vertex_step", collapsing)
     with pytest.raises(TopologyError, match=r"lam=1\.0"):
         enumerate_regimes(book, 1.0)
 
 
 def test_enumerate_regimes_refuses_endless_crossings(books, monkeypatch):
-    # a walk that crosses 2 * leaves + 2 times without reflecting is refused
+    # a walk that comes back to its seed without reflecting is refused
     book = books["annulus_two_disks"]
     seeds = topology._reflection_states(book, 1.0)
-    calls = []
 
     def crossing(book_, leaf_id, ellipse):
-        calls.append(leaf_id)
         return Rule.R3, EventSide.PASS_THROUGH, leaf_id
 
     monkeypatch.setattr(topology, "_reflection_states", lambda book_, lam: seeds)
     monkeypatch.setattr(topology, "transition", crossing)
-    with pytest.raises(TopologyError, match=r"lam=1\.0"):
+    with pytest.raises(TopologyError, match=r"lam=1\.0 met no reflection"):
         enumerate_regimes(book, 1.0)
-    assert len(calls) == 2 * len(book.leaves) + 2
 
 
 def test_enumerate_regimes_refuses_tangential_transfer(books, monkeypatch):
@@ -415,6 +414,22 @@ def test_axis_circles_match_boundaries_to_gluing_keys_with_tolerance():
             CriticalCircle(axis, ((d, "FromInside", 1, 3, 1), (-d, "FromInside", 3, 1, -1))),
             CriticalCircle(axis, ((d, "FromInside", 1, 3, -1), (-d, "FromInside", 3, 1, 1))),
         ]
+
+
+def test_minor_axis_circles_carry_the_hyperbolic_regimes(books, family):
+    # the axis bounce walk is the regime walk at the hyperbolic caustic's
+    # degenerate limit lam = a, so its circles hold the signed reflections
+    # of the hyperbolic band's tori, one circle per torus
+    rng = np.random.default_rng(15)
+    corpus = list(books.values())
+    games = [random_valid_game(family, rng, n) for n in range(2, 12) for _ in range(5)]
+    corpus += [compile_simple(g).book for g in games]
+    corpus += [random_glued_book(family, rng) for _ in range(150)]
+    for book in corpus:
+        mid = (book.family.b + book.family.a) / 2
+        circles = Counter(c.reflection_key(signed=True) for c in axis_bounce_circles(book, "y"))
+        tori = Counter(r.reflection_key(signed=True) for r in enumerate_regimes(book, mid))
+        assert circles == tori, book
 
 
 def test_to_dot_deterministic(books):
