@@ -234,7 +234,9 @@ def validate_book(book: BilliardBook) -> list[Violation]:
             out.append(Violation("BadDomain", f"two gluings keyed by ellipse {g.ellipse}"))
         seen_ellipses.append(g.ellipse)
 
-        expected = set(book.leaf_ids_on_ellipse(g.ellipse))
+        near = [(lf.id, p) for lf in book.leaves for p in lf.boundary_params()
+                if abs(p - g.ellipse) <= PARAM_TOL]
+        expected = {lid for lid, _ in near}
         domain = set(g.mapping)
         if domain != expected:
             missing = sorted(expected - domain)
@@ -246,8 +248,7 @@ def validate_book(book: BilliardBook) -> list[Violation]:
                 )
             )
         # transition matches each leaf's own parameter on its image leaf
-        ps = [p for lf in book.leaves for p in lf.boundary_params()]
-        ps = [p for p in ps if abs(p - g.ellipse) <= PARAM_TOL]
+        ps = [p for _, p in near]
         if ps and max(ps) - min(ps) > PARAM_TOL:
             msg = f"gluing at {g.ellipse}: leaf boundaries {min(ps)} and {max(ps)} differ"
             out.append(Violation("BadDomain", f"{msg} by more than {PARAM_TOL}"))

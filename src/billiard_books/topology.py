@@ -155,8 +155,10 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
     regime holds yet seeds a walk from its vertex until the seed comes back;
     the events met, reflections and crossings, are one torus.  The map must
     be a permutation of the vertices: a walk that meets a vertex walked
-    before, by itself or an earlier regime, or that meets no reflection,
-    raises TopologyError.
+    before, by itself or an earlier regime, raises TopologyError.  So does a
+    walk that meets no reflection, which guards an invariant only: each seed
+    is a reflection that ``_reflection_states`` read from ``transition``, so
+    the walk's first event reflects unless the two disagree.
     """
     levels = critical_levels(book)
     tol = _level_tolerance(book)
