@@ -151,6 +151,11 @@ class BilliardBook:
     _transitions: dict[tuple[int, float], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
+    # leaf id -> ((e, a - e, b - e) for each of its boundary parameters e),
+    # filled one leaf at a time by dynamics.step
+    _walls: dict[int, tuple[tuple[float, float, float], ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_id", {lf.id: lf for lf in self.leaves})

@@ -16,13 +16,15 @@ from enum import Enum
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from . import conics
 from .book import BilliardBook, BookError, Leaf, Side, boundary_side, invert_gluings
 from .conics import (
+    ON_CONIC_TOL,
+    T_MIN,
+    PointNotOnConic,
     caustic_parameter,
     project_to_conic,
-    ray_conic_coefficients,
-    ray_intersections,
+    ray_conic_coefficients,  # noqa: F401  perfbench hooks them here
+    ray_intersections,  # noqa: F401  perfbench hooks them here
     reflect,
 )
 
@@ -167,41 +169,80 @@ def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryE
     Raises TangentialHit when the selected hit grazes the boundary (the
     caller decides whether the flow extends) and EscapedLeaf when the ray
     finds no boundary at all.
+
+    The event kernel makes no call per wall: it reads the leaf's walls
+    (e, a - e, b - e) from the book's table and computes inline, in the same
+    order, what ``ray_intersections``, ``ray_conic_coefficients``,
+    ``project_to_conic`` and ``reflect`` compute, so every float is theirs.
     """
-    fam = book.family
     x, y, vx, vy, leaf_id = state
-    graze_tol = 1e-9 * fam.a  # |B^2 - AC| below this is a tangential hit
-    best: tuple[float, float, bool] | None = None  # (t, ellipse, grazing)
-    for e in book.leaf(leaf_id).boundary_params():
-        disc, roots = ray_intersections(fam, e, x, y, vx, vy)
+    walls = book._walls.get(leaf_id)
+    if walls is None:
+        fam = book.family
+        walls = tuple((e, fam.a - e, fam.b - e) for e in book.leaf(leaf_id).boundary_params())
+        book._walls[leaf_id] = walls
+    graze_tol = 1e-9 * book.family.a  # |B^2 - AC| below this is a tangential hit
+    vxx, vyy, xvx, yvy, xx, yy = vx * vx, vy * vy, x * vx, y * vy, x * x, y * y
+    best = None  # (t, ellipse, a - ellipse, b - ellipse, grazing)
+    for e, da, db in walls:
+        # A t^2 + 2 B t + C = 0 for the ray against C_e
+        A = vxx * db + vyy * da
+        B = xvx * db + yvy * da
+        C = xx * db + yy * da - da * db
+        disc = B * B - A * C
         grazing = abs(disc) < graze_tol
         if grazing:
             # the double root may be lost to rounding, so rebuild it
-            A, B, _ = ray_conic_coefficients(fam, e, x, y, vx, vy)
             roots = (-B / A,) if A != 0.0 else ()
+        elif disc < 0.0:
+            continue
+        else:
+            # the cancellation-free two-root form
+            s = math.sqrt(disc)
+            q = -(B + s) if B >= 0.0 else -(B - s)
+            if q == 0.0:
+                continue  # its one root, q / A, is 0: no hit ahead
+            roots = (q / A, C / q) if A != 0.0 else (C / q,)
         for t in roots:
-            if not t > conics.T_MIN:  # a NaN root is no hit either
+            if not t > T_MIN:  # a NaN root is no hit either
                 continue
             if best is None or t < best[0] - TIE_TOL:
-                best = (t, e, grazing)
+                best = (t, e, da, db, grazing)
             elif abs(t - best[0]) <= TIE_TOL and e < best[1]:
                 log.warning("boundary tie at t=%.3e; taking smaller ellipse %s", t, e)
-                best = (t, e, grazing)
+                best = (t, e, da, db, grazing)
     if best is None:
         raise EscapedLeaf(f"ray from ({x:.6g}, {y:.6g}) on leaf {leaf_id} hits no boundary")
-    t, e, grazing = best
+    t, e, da, db, grazing = best
     hx = x + t * vx
     hy = y + t * vy
     if grazing:
         raise TangentialHit(e, hx, hy, t)
-    hx, hy = project_to_conic(fam, e, hx, hy)
+    # radial rescale onto C_e
+    q = hx * hx / da + hy * hy / db
+    if not q <= 0.0:
+        s = 1.0 / math.sqrt(q)
+        hx, hy = hx * s, hy * s
 
-    rule, event_side, leaf_after = transition(book, leaf_id, e)
+    known = book._transitions.get((leaf_id, e))
+    rule, event_side, leaf_after = known if known is not None else transition(book, leaf_id, e)
     if rule is Rule.R3:
         n = math.hypot(vx, vy)
         vx, vy = vx / n, vy / n
     else:
-        vx, vy = reflect(fam, e, hx, hy, vx, vy)
+        # mirror across the tangent of C_e: normal component negated
+        res = hx * hx / da + hy * hy / db - 1.0
+        if abs(res) > ON_CONIC_TOL:
+            raise PointNotOnConic(f"residual {res:.3e} at ({hx}, {hy}) on C_{e}")
+        nx = hx / da
+        ny = hy / db
+        n = math.hypot(nx, ny)
+        nx, ny = -nx / n, -ny / n
+        d = vx * nx + vy * ny
+        wx = vx - 2.0 * d * nx
+        wy = vy - 2.0 * d * ny
+        n = math.hypot(wx, wy)
+        vx, vy = wx / n, wy / n
     event = TrajectoryEvent(hx, hy, e, event_side, rule, leaf_id, leaf_after, vx, vy)
     return PhaseState(hx, hy, vx, vy, leaf_after), event
 

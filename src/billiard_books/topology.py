@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, NamedTuple
 
@@ -460,9 +460,10 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
     # most one circle.  The bounce walk is the same on both axes; only the
     # circles' axis label differs.
     major = axis_bounce_circles(book, "x")
+    minor = [CriticalCircle("y", c.reflections) for c in major]
     for lam, circles, signed, regimes, unmatched in (
         (fam.b, major, False, regs[m - 2], "no critical circle matched"),
-        (fam.a, [replace(c, axis="y") for c in major], True, [], "no minor-axis orbit matched"),
+        (fam.a, minor, True, [], "no minor-axis orbit matched"),
     ):
         key_groups: dict[frozenset, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
         for c in circles:
@@ -483,9 +484,8 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
         if chain.hi_atom is None:  # pragma: no cover - every chain terminates
             raise TopologyError("torus family left open")
         interval = (atoms[chain.lo_atom].lam, atoms[chain.hi_atom].lam)
-        edges.append(
-            (chain.lo_atom, chain.hi_atom, replace(chain.first, caustic_interval=interval))
-        )
+        regime = RegimeDescriptor(interval, chain.first.states, chain.first.orientation)
+        edges.append((chain.lo_atom, chain.hi_atom, regime))
     return FomenkoGraph(atoms, edges)
 
 

@@ -331,6 +331,10 @@ def test_simulate_is_a_prefix_of_the_flow(books, start, m, more):
     for (leaf_id, e), entry in book._transitions.items():
         assert e in book.leaf(leaf_id).boundary_params()
         assert entry == transition(fresh, leaf_id, e)
+    # and, at every leaf it learned, that leaf's walls (e, a - e, b - e)
+    a, b = fresh.family.a, fresh.family.b
+    for leaf_id, walls in book._walls.items():
+        assert walls == tuple((e, a - e, b - e) for e in fresh.leaf(leaf_id).boundary_params())
     outside = PhaseState(100.0, 0.0, 1.0, 0.0, book.leaves[0].id)
     with pytest.raises(EscapedLeaf):
         simulate(book, outside, max_events=0)

@@ -5,9 +5,11 @@ compiled books.
 The hashes were recorded by running this file's own code on the library as
 it was before the event records became named tuples, ``ray_intersections``
 computed its coefficients inline and ``trajectory_csv`` stopped using the
-``csv`` module.  The CSV holds every event field (floats as ``repr``), so a
-change that alters any hash changes a trajectory or its text, not only how
-it is computed.
+``csv`` module.  They still hold now that ``dynamics.step`` is one inlined
+kernel, which reads each leaf's walls from a per-book table and solves,
+re-projects and reflects without a call per wall.  The CSV holds every event
+field (floats as ``repr``), so a change that alters any hash changes a
+trajectory or its text, not only how it is computed.
 """
 
 import hashlib
