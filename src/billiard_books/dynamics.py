@@ -257,15 +257,16 @@ def flow(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
     on the leaf's own outer ellipse always ends it: straight on, the flow
     would leave the leaf.  A start with a non-finite coordinate or a
     velocity off unit length by more than UNIT_SPEED_TOL raises
-    DynamicsError, and a start outside its leaf raises EscapedLeaf, here,
-    before any event is asked for.
+    DynamicsError, and a start outside its leaf, or on a leaf the book does
+    not have, raises EscapedLeaf, here, before any event is asked for.
     """
     x, y, vx, vy, leaf_id = state
     if not all(map(math.isfinite, (x, y, vx, vy))):
         raise DynamicsError(f"start state ({x}, {y}, {vx}, {vy}) is not finite")
     if abs(math.hypot(vx, vy) - 1.0) > UNIT_SPEED_TOL:
         raise DynamicsError(f"start velocity ({vx:.6g}, {vy:.6g}) is not a unit vector")
-    if not contains(book, book.leaf(leaf_id), x, y):
+    leaf = book._by_id.get(leaf_id)
+    if leaf is None or not contains(book, leaf, x, y):
         raise EscapedLeaf(f"initial position ({x:.6g}, {y:.6g}) is not in leaf {leaf_id}")
     return _flow(book, state)
 
@@ -384,9 +385,8 @@ def trajectory_csv(traj: Trajectory) -> str:
     """
     rows = [",".join(CSV_HEADER)]
     rows += [
-        f"{i},{ev.leaf_before},{ev.leaf_after},{ev.ellipse!r},{ev.rule._value_},"
-        f"{ev.side._value_},{ev.x!r},{ev.y!r},{ev.vx!r},{ev.vy!r}"
-        for i, ev in enumerate(traj.events)
+        f"{i},{before},{after},{e!r},{rule._value_},{side._value_},{x!r},{y!r},{vx!r},{vy!r}"
+        for i, (x, y, e, side, rule, before, after, vx, vy) in enumerate(traj.events)
     ]
     rows.append("")
     return "\n".join(rows)

@@ -30,43 +30,29 @@ class RenderSpec:
             raise ValueError(f"unknown layout {self.layout!r}")
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+# (cos th, sin th) at each outline sample, the last one closing the loop
+_UNIT_CIRCLE = tuple(
+    (math.cos(th), math.sin(th))
+    for th in (2.0 * math.pi * i / _OUTLINE_SAMPLES for i in range(_OUTLINE_SAMPLES + 1))
+)
+_OUTLINE = "M" + " L".join(["%.6g,%.6g"] * len(_UNIT_CIRCLE)) + " Z"
+_STROKE_TAIL = f'stroke-width="{_STROKE:.6g}"/>'
 
 
 def _ellipse_path(sx: float, sy: float, ox: float, oy: float) -> str:
-    pts = []
-    for i in range(_OUTLINE_SAMPLES + 1):
-        th = 2.0 * math.pi * i / _OUTLINE_SAMPLES
-        pts.append(f"{_fmt(ox + sx * math.cos(th))},{_fmt(oy + sy * math.sin(th))}")
-    return "M" + " L".join(pts) + " Z"
+    return _OUTLINE % tuple(v for c, s in _UNIT_CIRCLE for v in (ox + sx * c, oy + sy * s))
 
 
 def _leaf_paths(book: BilliardBook, leaf: Leaf, ox: float, oy: float) -> str:
     fam = book.family
     sx, sy = fam.semi_axes(leaf.outer)
     outer = _ellipse_path(sx, sy, ox, oy)
-    fill = "#dfe7f1"
-    parts = [
-        f'<path d="{outer}" fill="{fill}" stroke="#30435f" stroke-width="{_fmt(_STROKE)}"/>'
-    ]
+    parts = [f'<path d="{outer}" fill="#dfe7f1" stroke="#30435f" {_STROKE_TAIL}']
     if leaf.inner is not None:
         ix, iy = fam.semi_axes(leaf.inner)
         inner = _ellipse_path(ix, iy, ox, oy)
-        parts.append(
-            f'<path d="{inner}" fill="#ffffff" stroke="#7c8aa5" stroke-width="{_fmt(_STROKE)}"/>'
-        )
+        parts.append(f'<path d="{inner}" fill="#ffffff" stroke="#7c8aa5" {_STROKE_TAIL}')
     return "\n".join(parts)
-
-
-def _segments_by_leaf(traj: Trajectory) -> list[tuple[int, float, float, float, float]]:
-    """Chords of the trajectory as (leaf_id, x0, y0, x1, y1)."""
-    segs = []
-    x, y, leaf = traj.initial.x, traj.initial.y, traj.initial.leaf_id
-    for ev in traj.events:
-        segs.append((leaf, x, y, ev.x, ev.y))
-        x, y, leaf = ev.x, ev.y, ev.leaf_after
-    return segs
 
 
 def trajectory_svg(
@@ -91,8 +77,8 @@ def trajectory_svg(
         body.append(_leaf_paths(book, lf, ox, oy))
         if spec.layout == "side-by-side":
             labels.append(
-                f'<text x="{_fmt(ox)}" y="{_fmt(sy0 + _MARGIN * 0.75)}" '
-                f'font-size="{_fmt(_MARGIN * 0.6)}" text-anchor="middle" '
+                f'<text x="{ox:.6g}" y="{sy0 + _MARGIN * 0.75:.6g}" '
+                f'font-size="{_MARGIN * 0.6:.6g}" text-anchor="middle" '
                 f'fill="#30435f">leaf {lf.id}</text>'
             )
     if spec.show_caustic and traj is not None and traj.caustic < fam.b:
@@ -101,25 +87,27 @@ def trajectory_svg(
             ox, oy = offsets[lf.id]
             body.append(
                 f'<path d="{_ellipse_path(cx, cy, ox, oy)}" fill="none" '
-                f'stroke="#b04a4a" stroke-dasharray="0.15,0.1" '
-                f'stroke-width="{_fmt(_STROKE)}"/>'
+                f'stroke="#b04a4a" stroke-dasharray="0.15,0.1" {_STROKE_TAIL}'
             )
     if traj is not None:
-        for leaf_id, x0, y0, x1, y1 in _segments_by_leaf(traj):
+        # one chord per event, drawn on the leaf it runs in
+        chord = (
+            '<line x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g" '
+            f'stroke="#1d1d1d" stroke-width="{_STROKE * 1.3:.6g}"/>'
+        )
+        x, y, leaf_id = traj.initial.x, traj.initial.y, traj.initial.leaf_id
+        for ev in traj.events:
             ox, oy = offsets[leaf_id]
-            body.append(
-                f'<line x1="{_fmt(ox + x0)}" y1="{_fmt(oy + y0)}" '
-                f'x2="{_fmt(ox + x1)}" y2="{_fmt(oy + y1)}" '
-                f'stroke="#1d1d1d" stroke-width="{_fmt(_STROKE * 1.3)}"/>'
-            )
+            body.append(chord % (ox + x, oy + y, ox + ev.x, oy + ev.y))
+            x, y, leaf_id = ev.x, ev.y, ev.leaf_after
 
     width = pitch * len(leaves) if spec.layout == "side-by-side" else pitch
     x_lo = -sx0 - _MARGIN
     height = 2.0 * (sy0 + _MARGIN)
-    view = f"{_fmt(x_lo)} {_fmt(-sy0 - _MARGIN)} {_fmt(width)} {_fmt(height)}"
+    view = f"{x_lo:.6g} {-sy0 - _MARGIN:.6g} {width:.6g} {height:.6g}"
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}" width="{_fmt(width * 40)}" '
-        f'height="{_fmt(height * 40)}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}" width="{width * 40:.6g}" '
+        f'height="{height * 40:.6g}">',
         '<g transform="scale(1,-1)">',  # mathematical orientation, y upward
         *body,
         "</g>",

@@ -368,6 +368,15 @@ def test_flow_refuses_a_broken_start(books, state):
         simulate(book, state, max_events=0)
 
 
+def test_flow_refuses_an_unknown_leaf():
+    """A start on a leaf id the book does not have is in no leaf of it."""
+    state = PhaseState(0.1, 0.1, 1.0, 0.0, 99)
+    with pytest.raises(EscapedLeaf, match="not in leaf 99"):
+        simulate(CATALOG["chain_six"](), state, 5)
+    with pytest.raises(EscapedLeaf):
+        flow(CATALOG["chain_six"](), state)
+
+
 @pytest.mark.parametrize("bad", [NAN, INF, -INF])
 @pytest.mark.parametrize("k", range(4))
 def test_step_refuses_a_non_finite_state(books, k, bad):

@@ -280,3 +280,27 @@ def test_cli_outputs_deterministic(tmp_path, capsys):
     main(["simulate", b2, "--caustic", "6.5", "--seed", "3", "--events", "60", "--csv", c2])
     capsys.readouterr()
     assert (tmp_path / "c1.csv").read_bytes() == (tmp_path / "c2.csv").read_bytes()
+
+
+def test_cli_main_can_be_called_again(tmp_path, capsys, books):
+    """main keeps nothing from one call to the next: refused commands, a valid
+    one, --help and the same commands again give the same code and text."""
+    book = tmp_path / "book.json"
+    book.write_text(dumps_book(books["annulus_two_disks"]))
+    refused = (["simulate", str(book), "--caustic", "6.0", "--events", "-5"], ["bogus"])
+    valid = ["simulate", str(book), "--caustic", "6.0", "--seed", "3", "--events", "40"]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = [run(argv) for argv in (*refused, valid)]
+    assert [code for code, _, _ in first] == [3, 3, 0]
+    assert "--events: must not be negative" in first[0][2]
+    assert "invalid choice: 'bogus'" in first[1][2]
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: billiard-books")
+    assert [run(argv) for argv in (*refused, valid, *refused)] == [*first, *first[:2]]
