@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, NamedTuple
 
 from .book import BilliardBook, Side, _walk_cycles, boundary_side
@@ -108,57 +107,56 @@ def _level_tolerance(book: BilliardBook) -> float:
     return 1e-9 * book.family.a
 
 
-def _reflection_states(book: BilliardBook, lam: float) -> list[RegimeState]:
-    """Reflection states, both signs of each reflection class, that can
-    occur at caustic lam.  An elliptic caustic reaches an ellipse only when
-    it lies strictly inside it."""
-    hyper = lam > book.family.b
-    out: list[RegimeState] = []
-    for lf in book.leaves:
-        for e in lf.boundary_params():
-            if hyper or e < lam:
-                rule, side, after = transition(book, lf.id, e)
-                if rule is not Rule.R3:
-                    out.extend(RegimeState(e, side, lf.id, after, sign) for sign in (1, -1))
-    return out
-
-
-def _vertex_step(book: BilliardBook, lam: float, vertex: tuple) -> tuple[tuple, RegimeState]:
-    """The vertex after ``vertex`` at caustic lam, and the event met there.
+def _vertex_table(book: BilliardBook) -> tuple[list, list]:
+    """The vertex map's inputs, read in one pass over every leaf boundary.
 
     A vertex (leaf, ellipse, sign) is the boundary the particle on that leaf
     is heading for, with its winding sign (elliptic caustic) or half-plane
     sign (hyperbolic caustic, down to the axis bounce at lam = a).
     ``transition`` decides the event, a crossing carrying sign 0.  The next
     chord runs in the image leaf: from a hole to the outer ellipse; from the
-    outer ellipse to the hole when the caustic reaches it (inner < lam, so
-    always above b) and back to the outer ellipse otherwise.  That
-    outer-to-outer chord crosses the major axis, so a hyperbolic sign flips
-    on it; an elliptic winding sign never changes.
+    outer ellipse to the hole when the caustic reaches it (inner < lam) and
+    back to the outer ellipse otherwise, where a hyperbolic sign flips (the
+    chord crosses the major axis) and an elliptic winding sign does not.
+
+    Returns the reflection seeds, (vertex, ellipse), and one row per vertex:
+    (vertex, (event, its key), the lam above which the chord enters the hole
+    or inf, then the next vertex into the hole, below b and above b).
     """
-    leaf_id, e, sign = vertex
-    rule, side, image = transition(book, leaf_id, e)
-    event = RegimeState(e, side, leaf_id, image, 0 if rule is Rule.R3 else sign)
-    leaf = book.leaf(image)
-    if boundary_side(leaf, e) is Side.OUTSIDE:
-        return (image, leaf.outer, sign), event
-    if leaf.inner is not None and leaf.inner < lam:
-        return (image, leaf.inner, sign), event
-    return (image, leaf.outer, -sign if lam > book.family.b else sign), event
+    seeds: list[tuple[tuple, float]] = []
+    rows: list[tuple] = []
+    for lf in book.leaves:
+        for e in lf.boundary_params():
+            rule, side, image = transition(book, lf.id, e)
+            leaf = book.leaf(image)
+            from_hole = boundary_side(leaf, e) is Side.OUTSIDE
+            reach = math.inf if from_hole or leaf.inner is None else leaf.inner
+            for sign in (1, -1):
+                event = RegimeState(e, side, lf.id, image, 0 if rule is Rule.R3 else sign)
+                if event.sign:
+                    seeds.append(((lf.id, e, sign), e))
+                outer = (image, leaf.outer, sign)
+                flipped = outer if from_hole else (image, leaf.outer, -sign)
+                rows.append(((lf.id, e, sign), (event, event.key()), reach,
+                             (image, leaf.inner, sign), outer, flipped))
+    return seeds, rows
+
+
+def _successors(book: BilliardBook, rows: list, lam: float) -> dict:
+    """The vertex map at caustic lam: vertex -> (next vertex, (event, key))."""
+    hyper = lam > book.family.b
+    return {v: (hole if reach < lam else above if hyper else below, ev)
+            for v, ev, reach, hole, below, above in rows}
 
 
 def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
     """All Liouville tori at a regular caustic value, as symbolic cycles.
 
-    The vertex map (``_vertex_step``) reads each event and the next vertex
-    from the leaves and gluings alone.  Each reflection state that no
-    regime holds yet seeds a walk from its vertex until the seed comes back;
-    the events met, reflections and crossings, are one torus.  The map must
-    be a permutation of the vertices: a walk that meets a vertex walked
-    before, by itself or an earlier regime, raises TopologyError.  So does a
-    walk that meets no reflection, which guards an invariant only: each seed
-    is a reflection that ``_reflection_states`` read from ``transition``, so
-    the walk's first event reflects unless the two disagree.
+    Each reflection of the vertex map (``_vertex_table``) on a boundary the
+    caustic reaches, and that no regime holds yet, seeds a walk until the
+    seed comes back; the events met are one torus.  A walk that meets a
+    vertex walked before (the map is not a permutation) or no reflection
+    (the seeds and events disagree) raises TopologyError.
     """
     levels = critical_levels(book)
     tol = _level_tolerance(book)
@@ -168,33 +166,31 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
         raise CriticalLambda(f"lam={lam} is outside the dynamical range")
     below = max(lv for lv in levels if lv < lam)
     above = min(lv for lv in levels if lv > lam)
+    return _band_regimes(book, _vertex_table(book), lam, (below, above))
 
+
+def _band_regimes(book: BilliardBook, table: tuple, lam: float, band: tuple) -> list:
+    """``enumerate_regimes`` at a regular lam of the interval ``band``.  Each
+    regime starts at the least rotation of its cycle's state keys among
+    those starting at a reflection (the first such on a tie)."""
+    seeds, rows = table
     walks = _walk_cycles(
-        [(s.leaf_before, s.ellipse, s.sign) for s in _reflection_states(book, lam)],
-        partial(_vertex_step, book, lam),
+        [v for v, e in seeds if e < lam or lam > book.family.b],
+        _successors(book, rows, lam).__getitem__,
         TopologyError(f"vertex map at lam={lam} is not a permutation"),
     )
     keyed = []
     for walk in walks:
         cycle = [ev for _, ev in walk]
-        if not any(ev.sign for ev in cycle):
+        keys = [k for _, k in cycle]
+        starts = [i for i, (s, _) in enumerate(cycle) if s.side is not EventSide.PASS_THROUGH]
+        if not starts:
             raise TopologyError(f"vertex walk at lam={lam} met no reflection from {walk[0][0]}")
-        keyed.append(_build_regime((below, above), cycle))
+        best = min(starts, key=lambda i: keys[i:] + keys[:i])
+        states = tuple(s for s, _ in cycle[best:] + cycle[:best])
+        keyed.append((keys[best:] + keys[:best], RegimeDescriptor(band, states, states[0].sign)))
     keyed.sort(key=lambda kr: kr[0])
     return [r for _, r in keyed]
-
-
-def _build_regime(
-    interval: tuple[float, float], cycle: list[RegimeState]
-) -> tuple[list[tuple], RegimeDescriptor]:
-    """The regime of one walked cycle, and its ``key()`` as a list to sort by."""
-    # Canonical rotation: the least sequence of state keys over the
-    # rotations that start at a reflection (the first such on a tie).
-    keys = [s.key() for s in cycle]
-    starts = [i for i, s in enumerate(cycle) if s.side is not EventSide.PASS_THROUGH]
-    best = min(starts, key=lambda i: keys[i:] + keys[:i])
-    states = tuple(cycle[best:] + cycle[:best])
-    return keys[best:] + keys[:best], RegimeDescriptor(interval, states, orientation=states[0].sign)
 
 
 # ---------------------------------------------------------------------------
@@ -291,10 +287,10 @@ class CriticalCircle:
 
 
 def axis_bounce_circles(book: BilliardBook, axis: str) -> list[CriticalCircle]:
-    """Decompose the bounce walk along a degenerate caustic axis into its
-    periodic orbits.
+    """Decompose the bounce walk along a degenerate caustic axis, ``"x"`` or
+    ``"y"``, into its periodic orbits.
 
-    The walk is the vertex map ``_vertex_step`` at lam = a, the degenerate
+    The walk is the vertex map (``_vertex_table``) at lam = a, the degenerate
     hyperbolic caustic: the particle slides from an annulus's outer ellipse
     to its hole on the same half, from a hole to the outer ellipse on the
     same half, and across a disk to the opposite vertex, reflecting or
@@ -303,22 +299,24 @@ def axis_bounce_circles(book: BilliardBook, axis: str) -> list[CriticalCircle]:
     vertices lie in the same order on both axes, so ``axis`` only labels
     the circles.
     """
+    if axis not in ("x", "y"):
+        raise ValueError(f"axis must be 'x' or 'y', not {axis!r}")
+    return _bounce_circles(book, _vertex_table(book)[1], axis)
 
+
+def _bounce_circles(book: BilliardBook, rows: list, axis: str) -> list[CriticalCircle]:
     # each leaf's vertices in the order a slide from the positive end of the
     # axis meets them; a circle's reflections start where its first seed is
     seeds = []
     for lf in book.leaves:
-        if lf.is_disk:
-            seeds += [(lf.id, lf.outer, 1), (lf.id, lf.outer, -1)]
-        else:
-            seeds += [(lf.id, lf.outer, 1), (lf.id, lf.inner, 1)]
-            seeds += [(lf.id, lf.inner, -1), (lf.id, lf.outer, -1)]
+        ends = lf.boundary_params()
+        seeds += [(lf.id, p, 1) for p in ends] + [(lf.id, p, -1) for p in reversed(ends)]
     walks = _walk_cycles(
         seeds,
-        partial(_vertex_step, book, book.family.a),
+        _successors(book, rows, book.family.a).__getitem__,
         TopologyError("axis bounce walk is not a permutation"),
     )
-    circles = [CriticalCircle(axis, tuple(ev.key() for _, ev in walk if ev.sign)) for walk in walks]
+    circles = [CriticalCircle(axis, tuple(k for _, (ev, k) in walk if ev.sign)) for walk in walks]
     circles.sort(key=lambda c: sorted(c.reflections))
     return circles
 
@@ -397,8 +395,10 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
         if hi - lo < 2.0 * tol:
             raise CriticalLambda(f"critical levels {lo!r} and {hi!r} are too close to separate")
     m = len(levels)
-    mids = [(levels[i] + levels[i + 1]) / 2.0 for i in range(m - 1)]
-    regs = [enumerate_regimes(book, mid) for mid in mids]
+    # one vertex table serves every band and the axis bounce walk
+    table = _vertex_table(book)
+    regs = [_band_regimes(book, table, (lo + hi) / 2.0, (lo, hi))
+            for lo, hi in zip(levels, levels[1:])]
 
     atoms: list[FomenkoAtom] = []
     chains: list[_Chain] = []
@@ -459,7 +459,7 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
     # there have disjoint, non-empty reflection sets, so each group holds at
     # most one circle.  The bounce walk is the same on both axes; only the
     # circles' axis label differs.
-    major = axis_bounce_circles(book, "x")
+    major = _bounce_circles(book, table[1], "x")
     minor = [CriticalCircle("y", c.reflections) for c in major]
     for lam, circles, signed, regimes, unmatched in (
         (fam.b, major, False, regs[m - 2], "no critical circle matched"),

@@ -3,10 +3,11 @@
 This is the regime enumerator the library used before its symbolic transfer
 map.  Each reflection state at lam gets a witness phase point on its
 ellipse, and ``dynamics.step`` advances it a reflection at a time until the
-seed state comes back.  It shares only the seed list
-(``topology._reflection_states``) and ``dynamics.transition`` (inside
-``step``) with the symbolic map, so agreement between the two is evidence
-that the symbolic map follows the dynamics.
+seed state comes back.  It shares only the seed list (read by
+``_vertex_reference.reflection_states`` as the library's vertex table reads
+it) and ``dynamics.transition`` (inside ``step``) with the symbolic map, so
+agreement between the two is evidence that the symbolic map follows the
+dynamics.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from billiard_books import topology
 from billiard_books.conics import directions_with_caustic, inward_normal, winding_sign
 from billiard_books.dynamics import EventSide, PhaseState, Rule, TangentialHit, step
 from billiard_books.topology import RegimeDescriptor, RegimeState, TopologyError
+
+from _vertex_reference import reflection_states
 
 _WITNESS_ANGLES = (0.9, 2.2, 4.0, 5.3, 1.5, 3.3, 0.3, 2.8, 4.7, 5.9)
 _WITNESS_FRACTIONS = (0.35, -0.45, 0.7, -0.15, 0.55, -0.75, 0.1, -0.6, 0.85, -0.3)
@@ -81,7 +84,7 @@ def stepped_regimes(book, lam: float) -> list[tuple[RegimeDescriptor, PhaseState
     levels = topology.critical_levels(book)
     below = max(lv for lv in levels if lv < lam)
     above = min(lv for lv in levels if lv > lam)
-    seeds = topology._reflection_states(book, lam)
+    seeds = reflection_states(book, lam)
     assigned: set[tuple] = set()
     found: list[tuple[RegimeDescriptor, PhaseState]] = []
     for seed in seeds:

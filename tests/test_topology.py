@@ -36,6 +36,7 @@ from billiard_books.topology import (
 
 import _stepped_regimes
 from _stepped_regimes import stepped_regimes
+from _vertex_reference import reflection_states
 from _refs import (
     ref_graph_annulus_two_disks,
     ref_graph_chain_five,
@@ -80,29 +81,31 @@ def test_enumerate_regimes_refuses_non_permutation(books, monkeypatch, target):
     # permutation: with target 0 a later walk meets a vertex walked before,
     # with target 1 the first walk never returns to its seed
     book = books["annulus_two_disks"]
-    real = topology._vertex_step
-    s = topology._reflection_states(book, 1.0)[target]
+    real = topology._vertex_table
+    s = reflection_states(book, 1.0)[target]
     into = (s.leaf_before, s.ellipse, s.sign)
 
-    def collapsing(book_, lam, vertex):
-        _, event = real(book_, lam, vertex)
-        return into, event
+    def collapsing(book_):
+        seeds, rows = real(book_)
+        return seeds, [(v, ev, reach, into, into, into) for v, ev, reach, *_ in rows]
 
-    monkeypatch.setattr(topology, "_vertex_step", collapsing)
+    monkeypatch.setattr(topology, "_vertex_table", collapsing)
     with pytest.raises(TopologyError, match=r"lam=1\.0"):
         enumerate_regimes(book, 1.0)
 
 
 def test_enumerate_regimes_refuses_endless_crossings(books, monkeypatch):
-    # a walk that comes back to its seed without reflecting is refused
+    # a walk that comes back to its seed without reflecting is refused: the
+    # seeds are the real reflections, every boundary is a crossing
     book = books["annulus_two_disks"]
-    seeds = topology._reflection_states(book, 1.0)
+    real = topology._vertex_table
+    seeds, _ = real(book)
 
     def crossing(book_, leaf_id, ellipse):
         return Rule.R3, EventSide.PASS_THROUGH, leaf_id
 
-    monkeypatch.setattr(topology, "_reflection_states", lambda book_, lam: seeds)
     monkeypatch.setattr(topology, "transition", crossing)
+    monkeypatch.setattr(topology, "_vertex_table", lambda book_: (seeds, real(book_)[1]))
     with pytest.raises(TopologyError, match=r"lam=1\.0 met no reflection"):
         enumerate_regimes(book, 1.0)
 
@@ -392,6 +395,11 @@ def test_axis_circle_counts(books):
     assert len(axis_bounce_circles(books["chain_six"], "y")) == 3
 
 
+def test_axis_bounce_circles_refuses_an_unknown_axis(books):
+    with pytest.raises(ValueError, match="'z'"):
+        axis_bounce_circles(books["chain_six"], "z")
+
+
 def test_axis_circles_match_boundaries_to_gluing_keys_with_tolerance():
     # every glued ellipse parameter sits 3e-13 off its gluing key, on both
     # sides of the keys at 0 and 1.6 (inside PARAM_TOL), so the walk must
@@ -498,7 +506,7 @@ def test_random_books_conserve_regimes_and_fill_atoms(family):
         for lo, hi in zip(levels, levels[1:]):
             regimes = enumerate_regimes(book, (lo + hi) / 2)
             states = [s.key() for r in regimes for s in r.reflection_states]
-            every = [s.key() for s in topology._reflection_states(book, (lo + hi) / 2)]
+            every = [s.key() for s in reflection_states(book, (lo + hi) / 2)]
             assert sorted(states) == sorted(every), (game, lo)
             keys = [r.key() for r in regimes]
             assert keys == sorted(keys), (game, lo)
