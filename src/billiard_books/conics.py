@@ -147,15 +147,10 @@ def ray_intersections(
 ) -> tuple[float, tuple[float, ...]]:
     """All real ray parameters t with p + t v on C_lam, plus the discriminant.
 
-    The coefficients are those of ray_conic_coefficients, computed inline.
-    Uses the cancellation-free two-root form; the roots, none, one or two of
-    them, are returned unsorted.
+    Uses the cancellation-free two-root form of ray_conic_coefficients'
+    quadratic; the roots, none, one or two of them, are returned unsorted.
     """
-    da = family.a - lam
-    db = family.b - lam
-    A = vx * vx * db + vy * vy * da
-    B = px * vx * db + py * vy * da
-    C = px * px * db + py * py * da - da * db
+    A, B, C = ray_conic_coefficients(family, lam, px, py, vx, vy)
     disc = B * B - A * C
     if disc < 0.0:
         return disc, ()

@@ -18,6 +18,7 @@ from itertools import islice
 import numpy as np
 
 from .book import (
+    PARAM_TOL,
     BilliardBook,
     GluingPermutation,
     Leaf,
@@ -26,7 +27,6 @@ from .conics import ConfocalFamily, directions_with_caustic
 from .dynamics import EventSide, PhaseState, TangentialHit, flow, step
 from .dynamics import simulate, trace_to_game  # noqa: F401  hooked by perfbench/spans.py
 
-BETA_TOL = 1e-12
 _VERIFY_CYCLES = 5  # game periods each verification sample must repeat
 _START_TRIES = 1000  # points drawn for one start before giving up
 
@@ -72,7 +72,7 @@ class GameViolation:
 
 
 def _same(x: float, y: float) -> bool:
-    return abs(x - y) <= BETA_TOL
+    return abs(x - y) <= PARAM_TOL
 
 
 def _repeats(betas: tuple[float, ...]) -> list[tuple[int, int]]:
@@ -165,21 +165,6 @@ class CompileReport:
     start_leaf_id: int  # leaf holding admissible starting points
 
 
-def _runs(betas: tuple[float, ...]) -> list[tuple[int, int]]:
-    """Maximal (start, length) blocks of equal consecutive betas.  Assumes
-    betas[0] != betas[-1], so no block wraps around."""
-    runs: list[tuple[int, int]] = []
-    j = 0
-    n = len(betas)
-    while j < n:
-        s = 1
-        while j + s < n and _same(betas[j + s], betas[j]):
-            s += 1
-        runs.append((j, s))
-        j += s
-    return runs
-
-
 def compile_game(game: OrderedGame) -> CompileReport:
     """Build the canonical book realizing the game (repeats allowed).
 
@@ -207,63 +192,38 @@ def compile_game(game: OrderedGame) -> CompileReport:
 
     norm, shift = normalize_game(game)
     betas = norm.betas
-
-    # Annulus before position j, between the ellipses at positions j-1 and j.
-    ann_index: dict[int, int] = {}
-    leaves: list[Leaf] = []
-    next_id = 1
-    for j in range(n):
-        lo, hi = betas[(j - 1) % n], betas[j]
-        if _same(lo, hi):
-            continue
-        leaves.append(Leaf(next_id, min(lo, hi), max(lo, hi)))
-        ann_index[j] = next_id
-        next_id += 1
-
-    cycles_by_beta: list[tuple[float, list[int]]] = []
+    # A run of equal ellipses starts at each position j whose ellipse differs
+    # from the one before it (position 0 does, after normalization); the
+    # annulus between those two ellipses enters the run, and the annulus
+    # that starts the next run leaves it.
+    starts = [j for j in range(n) if not _same(betas[j - 1], betas[j])]
+    annulus_ids = {j: r + 1 for r, j in enumerate(starts)}
+    leaves = [Leaf(r + 1, *sorted((betas[j - 1], betas[j]))) for r, j in enumerate(starts)]
     disk_ids: dict[int, list[int]] = {}
+    cycles: dict[float, list[list[int]]] = {}  # first equal ellipse -> its cycles
     s_count = 0
-    for j0, s in _runs(betas):
-        beta = betas[j0]
-        prev_b = betas[(j0 - 1) % n]
-        next_b = betas[(j0 + s) % n]
-        ann_in = ann_index[j0]
-        ann_out = ann_index[(j0 + s) % n]
+    for r, (j0, j1) in enumerate(zip(starts, starts[1:] + [n])):
+        beta, prev_b, next_b = betas[j0], betas[j0 - 1], betas[j1 % n]
         if beta > prev_b and beta > next_b:
             s_count += 1
-        if any(norm.signature[j0 + i] == -1 for i in range(s)):
-            # an outside reflection never sits in a longer run (pre-checked),
-            # and it glues the two flanking annuli directly
-            cycles_by_beta.append((beta, [ann_in, ann_out]))
-            continue
-        if prev_b > beta and next_b > beta:
-            m = s - 1  # both neighbours nest inside the run's ellipse
-        elif prev_b < beta and next_b < beta:
-            m = s + 1  # the run's ellipse nests inside both neighbours
-        else:
-            m = s
-        ids = []
-        for _ in range(m):
-            leaves.append(Leaf(next_id, beta))
-            ids.append(next_id)
-            next_id += 1
-        if ids:
-            disk_ids[j0] = ids
-        cycles_by_beta.append((beta, [ann_in, *ids, ann_out]))
+        ids: list[int] = []
+        # an outside reflection never sits in a longer run (pre-checked), and
+        # it glues the two flanking annuli directly
+        if -1 not in norm.signature[j0:j1]:
+            m = j1 - j0
+            if prev_b > beta and next_b > beta:
+                m -= 1  # both neighbours nest inside the run's ellipse
+            elif prev_b < beta and next_b < beta:
+                m += 1  # the run's ellipse nests inside both neighbours
+            ids = list(range(len(leaves) + 1, len(leaves) + m + 1))
+            leaves += [Leaf(i, beta) for i in ids]
+            if ids:
+                disk_ids[j0] = ids
+        key = next((k for k in cycles if _same(k, beta)), beta)
+        cycles.setdefault(key, []).append([r + 1, *ids, (r + 1) % len(starts) + 1])
 
-    grouped: list[tuple[float, list[list[int]]]] = []
-    for beta, cyc in cycles_by_beta:
-        for entry in grouped:
-            if _same(entry[0], beta):
-                entry[1].append(cyc)
-                break
-        else:
-            grouped.append((beta, [cyc]))
-    gluings = tuple(
-        GluingPermutation.from_cycles(beta, cycles) for beta, cycles in grouped
-    )
+    gluings = tuple(GluingPermutation.from_cycles(k, c) for k, c in cycles.items())
     book = BilliardBook(game.family, tuple(leaves), gluings)
-    annulus_ids = {j: ann_index[j] for j in ann_index}
     return CompileReport(
         book,
         annulus_ids,
@@ -288,12 +248,16 @@ def compile_simple(game: OrderedGame) -> CompileReport:
 
 def leaf_count_bounds(game: OrderedGame) -> tuple[int, int, int]:
     """(lower, upper, s) with lower = 2n - 2s, upper = 2n, where s counts the
-    ellipses nested inside both cyclic neighbours.  Repeat-free games only.
-    A one-reflection game compiles to one leaf: (1, 1, 0)."""
+    ellipses nested inside both cyclic neighbours.  Repeat-free valid games
+    only: raises ConsecutiveRepeat, then InvalidGame.  A one-reflection game
+    compiles to one leaf: (1, 1, 0)."""
     repeats = _repeats(game.betas)
     if repeats:
         k, j = repeats[0]
         raise ConsecutiveRepeat(f"positions {k} and {j} coincide")
+    violations = validate_game(game)
+    if violations:
+        raise InvalidGame(violations)
     n = game.n
     if n == 1:
         return 1, 1, 0

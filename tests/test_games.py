@@ -182,6 +182,27 @@ def test_leaf_count_bounds(family):
     assert compile_simple(game(family, (1.0,), (1,))).leaf_count == 1
 
 
+@pytest.mark.parametrize(
+    "betas, sig, code",
+    [
+        ((), (), "Empty"),
+        ((math.nan, 2.0), (1, 1), "BetaOutOfRange"),
+        ((0.0, 5.0), (1, 1), "BetaOutOfRange"),
+        ((0.0, 2.0, 3.5), (1, 1), "LengthMismatch"),
+        ((0.0, 2.0), (1, 0), "BadSignature"),
+        ((1.0,), (-1,), "ConsecutiveOutside"),
+    ],
+)
+def test_leaf_count_bounds_refuses_invalid_games(family, betas, sig, code):
+    # the bounds hold for playable games only, and compile_game refuses these
+    g = game(family, betas, sig)
+    with pytest.raises(InvalidGame) as err:
+        leaf_count_bounds(g)
+    assert code in codes(err.value.violations)
+    with pytest.raises(InvalidGame):
+        compile_game(g)
+
+
 def random_valid_game(family, rng, n):
     pool = (0.0, 0.8, 1.6, 2.4, 3.2)
     while True:
