@@ -41,12 +41,16 @@ class DynamicsError(Exception):
 
 
 class TangentialHit(DynamicsError):
-    def __init__(self, ellipse: float, x: float, y: float, t: float):
+    """A chord grazing C_ellipse at (x, y), t along it; ``state`` is the
+    kernel's state before it (the start, or the state after its last event)."""
+
+    def __init__(self, ellipse: float, x: float, y: float, t: float, state=None):
         super().__init__(f"tangential hit on C_{ellipse} at ({x:.6g}, {y:.6g})")
         self.ellipse = ellipse
         self.x = x
         self.y = y
         self.t = t
+        self.state = state
 
 
 class EscapedLeaf(DynamicsError):
@@ -164,101 +168,114 @@ def glued_return_leaf(
 
 def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryEvent]:
     """Advance to the nearest boundary of the current leaf and apply the
-    ``transition`` rule there.
+    ``transition`` rule there: the first event of the event kernel.
 
     Raises TangentialHit when the selected hit grazes the boundary (the
     caller decides whether the flow extends) and EscapedLeaf when the ray
     finds no boundary at all.
+    """
+    ev = next(_events(book, state))
+    return PhaseState(ev.x, ev.y, ev.vx, ev.vy, ev.leaf_after), ev
 
-    The event kernel makes no call per wall: it reads the leaf's walls
-    (e, a - e, b - e) from the book's table and computes inline, in the same
-    order, what ``ray_intersections``, ``ray_conic_coefficients``,
-    ``project_to_conic`` and ``reflect`` compute, so every float is theirs.
+
+def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
+    """The event kernel: the events from ``state`` until a hit grazes or
+    none is found, which raise as ``step`` says.
+
+    It makes no call per wall: it reads the leaf's walls (e, a - e, b - e)
+    from the book's table and computes inline, in the same order, what
+    ``ray_intersections``, ``ray_conic_coefficients``, ``project_to_conic``
+    and ``reflect`` compute, so every float is theirs.  The state after an
+    event stays in locals until the next one.
     """
     x, y, vx, vy, leaf_id = state
-    walls = book._walls.get(leaf_id)
-    if walls is None:
-        fam = book.family
-        walls = tuple((e, fam.a - e, fam.b - e) for e in book.leaf(leaf_id).boundary_params())
-        book._walls[leaf_id] = walls
+    walls_of, transitions = book._walls, book._transitions
     graze_tol = 1e-9 * book.family.a  # |B^2 - AC| below this is a tangential hit
-    vxx, vyy, xvx, yvy, xx, yy = vx * vx, vy * vy, x * vx, y * vy, x * x, y * y
-    best = None  # (t, ellipse, a - ellipse, b - ellipse, grazing)
-    for e, da, db in walls:
-        # A t^2 + 2 B t + C = 0 for the ray against C_e
-        A = vxx * db + vyy * da
-        B = xvx * db + yvy * da
-        C = xx * db + yy * da - da * db
-        disc = B * B - A * C
-        grazing = abs(disc) < graze_tol
-        if grazing:
-            # the double root may be lost to rounding, so rebuild it
-            roots = (-B / A,) if A != 0.0 else ()
-        elif disc < 0.0:
-            continue
-        else:
-            # the cancellation-free two-root form
-            s = math.sqrt(disc)
-            q = -(B + s) if B >= 0.0 else -(B - s)
-            if q == 0.0:
-                continue  # its one root, q / A, is 0: no hit ahead
-            roots = (q / A, C / q) if A != 0.0 else (C / q,)
-        for t in roots:
-            if not t > T_MIN:  # a NaN root is no hit either
+    while True:
+        walls = walls_of.get(leaf_id)
+        if walls is None:
+            fam = book.family
+            walls = tuple((e, fam.a - e, fam.b - e) for e in book.leaf(leaf_id).boundary_params())
+            walls_of[leaf_id] = walls
+        vxx, vyy, xvx, yvy, xx, yy = vx * vx, vy * vy, x * vx, y * vy, x * x, y * y
+        best = None  # (t, ellipse, a - ellipse, b - ellipse, grazing)
+        for e, da, db in walls:
+            # A t^2 + 2 B t + C = 0 for the ray against C_e
+            A = vxx * db + vyy * da
+            B = xvx * db + yvy * da
+            C = xx * db + yy * da - da * db
+            disc = B * B - A * C
+            grazing = abs(disc) < graze_tol
+            if grazing:
+                # the double root may be lost to rounding, so rebuild it
+                roots = (-B / A,) if A != 0.0 else ()
+            elif disc < 0.0:
                 continue
-            if best is None or t < best[0] - TIE_TOL:
-                best = (t, e, da, db, grazing)
-            elif abs(t - best[0]) <= TIE_TOL and e < best[1]:
-                log.warning("boundary tie at t=%.3e; taking smaller ellipse %s", t, e)
-                best = (t, e, da, db, grazing)
-    if best is None:
-        raise EscapedLeaf(f"ray from ({x:.6g}, {y:.6g}) on leaf {leaf_id} hits no boundary")
-    t, e, da, db, grazing = best
-    hx = x + t * vx
-    hy = y + t * vy
-    if grazing:
-        raise TangentialHit(e, hx, hy, t)
-    # radial rescale onto C_e
-    q = hx * hx / da + hy * hy / db
-    if not q <= 0.0:
-        s = 1.0 / math.sqrt(q)
-        hx, hy = hx * s, hy * s
+            else:
+                # the cancellation-free two-root form
+                s = math.sqrt(disc)
+                q = -(B + s) if B >= 0.0 else -(B - s)
+                if q == 0.0:
+                    continue  # its one root, q / A, is 0: no hit ahead
+                roots = (q / A, C / q) if A != 0.0 else (C / q,)
+            for t in roots:
+                if not t > T_MIN:  # a NaN root is no hit either
+                    continue
+                if best is None or t < best[0] - TIE_TOL:
+                    best = (t, e, da, db, grazing)
+                elif abs(t - best[0]) <= TIE_TOL and e < best[1]:
+                    log.warning("boundary tie at t=%.3e; taking smaller ellipse %s", t, e)
+                    best = (t, e, da, db, grazing)
+        if best is None:
+            raise EscapedLeaf(f"ray from ({x:.6g}, {y:.6g}) on leaf {leaf_id} hits no boundary")
+        t, e, da, db, grazing = best
+        hx = x + t * vx
+        hy = y + t * vy
+        if grazing:
+            raise TangentialHit(e, hx, hy, t, PhaseState(x, y, vx, vy, leaf_id))
+        # radial rescale onto C_e
+        q = hx * hx / da + hy * hy / db
+        if not q <= 0.0:
+            s = 1.0 / math.sqrt(q)
+            hx, hy = hx * s, hy * s
 
-    known = book._transitions.get((leaf_id, e))
-    rule, event_side, leaf_after = known if known is not None else transition(book, leaf_id, e)
-    if rule is Rule.R3:
-        n = math.hypot(vx, vy)
-        vx, vy = vx / n, vy / n
-    else:
-        # mirror across the tangent of C_e: normal component negated
-        res = hx * hx / da + hy * hy / db - 1.0
-        if abs(res) > ON_CONIC_TOL:
-            raise PointNotOnConic(f"residual {res:.3e} at ({hx}, {hy}) on C_{e}")
-        nx = hx / da
-        ny = hy / db
-        n = math.hypot(nx, ny)
-        nx, ny = -nx / n, -ny / n
-        d = vx * nx + vy * ny
-        wx = vx - 2.0 * d * nx
-        wy = vy - 2.0 * d * ny
-        n = math.hypot(wx, wy)
-        vx, vy = wx / n, wy / n
-    event = TrajectoryEvent(hx, hy, e, event_side, rule, leaf_id, leaf_after, vx, vy)
-    return PhaseState(hx, hy, vx, vy, leaf_after), event
+        known = transitions.get((leaf_id, e))
+        rule, event_side, leaf_after = known if known is not None else transition(book, leaf_id, e)
+        if rule is Rule.R3:
+            n = math.hypot(vx, vy)
+            vx, vy = vx / n, vy / n
+        else:
+            # mirror across the tangent of C_e: normal component negated
+            res = hx * hx / da + hy * hy / db - 1.0
+            if abs(res) > ON_CONIC_TOL:
+                raise PointNotOnConic(f"residual {res:.3e} at ({hx}, {hy}) on C_{e}")
+            nx = hx / da
+            ny = hy / db
+            n = math.hypot(nx, ny)
+            nx, ny = -nx / n, -ny / n
+            d = vx * nx + vy * ny
+            wx = vx - 2.0 * d * nx
+            wy = vy - 2.0 * d * ny
+            n = math.hypot(wx, wy)
+            vx, vy = wx / n, wy / n
+        yield TrajectoryEvent(hx, hy, e, event_side, rule, leaf_id, leaf_after, vx, vy)
+        x, y, leaf_id = hx, hy, leaf_after
 
 
 def flow(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
-    """The boundary events of the flow from ``state``, one at a time.
+    """The boundary events of the flow from ``state``, one at a time, as
+    the event kernel makes them.
 
     The state after an event is (x, y, vx, vy, leaf_after) of that event.  A
     grazing hit on a glued ellipse continues straight (recorded as a
-    crossing) when the gluing chain returns to the same leaf; otherwise the
-    flow has reached a singular level and the iterator ends.  A grazing hit
-    on the leaf's own outer ellipse always ends it: straight on, the flow
-    would leave the leaf.  A start with a non-finite coordinate or a
-    velocity off unit length by more than UNIT_SPEED_TOL raises
-    DynamicsError, and a start outside its leaf, or on a leaf the book does
-    not have, raises EscapedLeaf, here, before any event is asked for.
+    crossing, from the hit's ``state``; the kernel then restarts) when the
+    gluing chain returns to the same leaf; otherwise the flow has reached a
+    singular level and the iterator ends.  A grazing hit on the leaf's own
+    outer ellipse always ends it: straight on, the flow would leave the
+    leaf.  A start with a non-finite coordinate or a velocity off unit
+    length by more than UNIT_SPEED_TOL raises DynamicsError, and a start
+    outside its leaf, or on a leaf the book does not have, raises
+    EscapedLeaf, here, before any event is asked for.
     """
     x, y, vx, vy, leaf_id = state
     if not all(map(math.isfinite, (x, y, vx, vy))):
@@ -274,26 +291,19 @@ def flow(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
 def _flow(book: BilliardBook, cur: PhaseState) -> Iterator[TrajectoryEvent]:
     while True:
         try:
-            cur, ev = step(book, cur)
+            yield from _events(book, cur)
         except TangentialHit as hit:
-            if hit.ellipse == book.leaf(cur.leaf_id).outer:
+            _, _, vx, vy, leaf_id = hit.state
+            if hit.ellipse == book.leaf(leaf_id).outer:
                 return  # grazing its own outer wall, the flow would leave the leaf
-            ret = glued_return_leaf(book, hit.ellipse, cur.leaf_id)
-            if ret is not None and ret != cur.leaf_id:
+            ret = glued_return_leaf(book, hit.ellipse, leaf_id)
+            if ret is not None and ret != leaf_id:
                 return
             hx, hy = project_to_conic(book.family, hit.ellipse, hit.x, hit.y)
             ev = TrajectoryEvent(
-                hx,
-                hy,
-                hit.ellipse,
-                EventSide.PASS_THROUGH,
-                Rule.R3,
-                cur.leaf_id,
-                cur.leaf_id,
-                cur.vx,
-                cur.vy,
+                hx, hy, hit.ellipse, EventSide.PASS_THROUGH, Rule.R3, leaf_id, leaf_id, vx, vy
             )
-            cur = PhaseState(hx, hy, cur.vx, cur.vy, cur.leaf_id)
+            cur = PhaseState(hx, hy, vx, vy, leaf_id)
         yield ev
 
 

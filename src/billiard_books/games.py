@@ -327,7 +327,7 @@ def sample_trace(
     event after the ``need``-th reflection is computed."""
     trace: list[tuple[float, EventSide]] = []
     for ev in islice(flow(book, state), 4 * need + 8):
-        if ev.is_reflection:
+        if ev.side is not EventSide.PASS_THROUGH:  # ev.is_reflection, without the property call
             trace.append((ev.ellipse, ev.side))
             if len(trace) == need:
                 break

@@ -203,8 +203,7 @@ def test_leaf_count_bounds_refuses_invalid_games(family, betas, sig, code):
         compile_game(g)
 
 
-def random_valid_game(family, rng, n):
-    pool = (0.0, 0.8, 1.6, 2.4, 3.2)
+def random_valid_game(family, rng, n, pool=(0.0, 0.8, 1.6, 2.4, 3.2)):
     while True:
         betas = [float(rng.choice(pool))]
         for _ in range(n - 1):
@@ -401,21 +400,28 @@ def test_verification_steps_only_to_the_last_reflection_read(family, monkeypatch
     rep = compile_simple(game(family, (0.0, 2.0, 0.0, 3.5), (1, -1, 1, 1)))
     need = 5 * rep.game.n
     starts = []
-    real_start, real_step = games.admissible_start, dynamics.step
+    real_start, real_events = games.admissible_start, dynamics._events
+    probing = []
 
     def recorded_start(*args, **kwargs):
-        starts.append(real_start(*args, **kwargs))
+        probing.append(1)  # the start's probe events are not the trace's
+        try:
+            starts.append(real_start(*args, **kwargs))
+        finally:
+            probing.pop()
         return starts[-1]
 
     steps = []
 
-    def counted_step(*args):
-        steps.append(1)
-        return real_step(*args)
+    def counted_events(*args):
+        for ev in real_events(*args):
+            if not probing:
+                steps.append(1)
+            yield ev
 
     with monkeypatch.context() as mp:
         mp.setattr(games, "admissible_start", recorded_start)
-        mp.setattr(dynamics, "step", counted_step)
+        mp.setattr(dynamics, "_events", counted_events)
         assert verify_realization(rep, samples=6, seed=2) == []
     # the 1-based event index of each sample's need-th reflection
     last_read = [
