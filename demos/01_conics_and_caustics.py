@@ -21,7 +21,7 @@ from billiard_books import (
 fam = ConfocalFamily(9.0, 4.0)
 print(f"family: a={fam.a}, b={fam.b}, foci at (+-{fam.focal_half_distance:.4f}, 0)")
 for lam in (0.0, 2.0, 3.5, 4.0, 6.5, 9.0):
-    print(f"  C_{lam:<4} -> {classify_conic(fam, lam).kind.value}")
+    print(f"  C_{lam:<4} -> {classify_conic(fam, lam).value}")
 
 print("\ncaustic parameters of a few lines:")
 lines = [

@@ -28,7 +28,6 @@ from .book import (
 from .conics import (
     ConfocalFamily,
     ConicKind,
-    ConicParam,
     DegenerateConic,
     EmptyConic,
     PointNotOnConic,
@@ -79,7 +78,6 @@ from .topology import (
     classify_singular_level,
     critical_levels,
     enumerate_regimes,
-    graph_from_census,
     graphs_isomorphic,
     grazing_probe_exits,
     pass_through_return,

@@ -17,30 +17,30 @@ BETA_2 = 2.0
 BETA_3 = 3.5
 
 
-def annulus_two_disks(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
+def annulus_two_disks() -> BilliardBook:
     """Annulus plus two disk sheets glued along the inner ellipse in a
     3-cycle; alternates reflections between the two ellipses."""
     return make_book(
-        family,
+        FIXTURE_FAMILY,
         [annulus(1, BETA_1, BETA_2), disk(2, BETA_2), disk(3, BETA_2)],
         [(BETA_2, [[1, 2, 3]])],
     )
 
 
-def two_annuli_two_disks(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
+def two_annuli_two_disks() -> BilliardBook:
     """Two annulus copies and two disk sheets; besides the alternating game
     it also carries the plain annulus billiard."""
     return make_book(
-        family,
+        FIXTURE_FAMILY,
         [annulus(1, BETA_1, BETA_2), disk(2, BETA_2), disk(3, BETA_2), annulus(4, BETA_1, BETA_2)],
         [(BETA_1, [[1, 4]]), (BETA_2, [[1, 2, 3, 4]])],
     )
 
 
-def chain_five(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
+def chain_five() -> BilliardBook:
     """Five leaves chaining three nested ellipses, all reflections inside."""
     return make_book(
-        family,
+        FIXTURE_FAMILY,
         [
             annulus(1, BETA_1, BETA_2),
             disk(2, BETA_2),
@@ -52,14 +52,14 @@ def chain_five(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
     )
 
 
-def chain_five_inverted(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
-    return invert_gluings(chain_five(family))
+def chain_five_inverted() -> BilliardBook:
+    return invert_gluings(chain_five())
 
 
-def chain_six(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
+def chain_six() -> BilliardBook:
     """chain_five plus a wide annulus short-circuiting the outer ellipse."""
     return make_book(
-        family,
+        FIXTURE_FAMILY,
         [
             annulus(1, BETA_1, BETA_2),
             disk(2, BETA_2),
@@ -72,24 +72,24 @@ def chain_six(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
     )
 
 
-def three_sheets(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
+def three_sheets() -> BilliardBook:
     """Annulus, disk and inner annulus glued along the middle ellipse; the
     innermost ellipse is a plain reflecting wall hit from outside."""
     return make_book(
-        family,
+        FIXTURE_FAMILY,
         [annulus(1, BETA_1, BETA_2), disk(2, BETA_2), annulus(3, BETA_2, BETA_3)],
         [(BETA_2, [[1, 2, 3]])],
     )
 
 
-def three_sheets_inverted(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
-    return invert_gluings(three_sheets(family))
+def three_sheets_inverted() -> BilliardBook:
+    return invert_gluings(three_sheets())
 
 
-def four_sheets(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
+def four_sheets() -> BilliardBook:
     """three_sheets plus a wide annulus, glued along all three ellipses."""
     return make_book(
-        family,
+        FIXTURE_FAMILY,
         [
             annulus(1, BETA_1, BETA_2),
             disk(2, BETA_2),
@@ -100,15 +100,15 @@ def four_sheets(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
     )
 
 
-def four_sheets_inverted(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
-    return invert_gluings(four_sheets(family))
+def four_sheets_inverted() -> BilliardBook:
+    return invert_gluings(four_sheets())
 
 
-def two_annuli_disk_pair(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
+def two_annuli_disk_pair() -> BilliardBook:
     """Two wide annuli joined along the outer ellipse, with a disk pair on
     the innermost one; realizes a length-4 game with one outside hit."""
     return make_book(
-        family,
+        FIXTURE_FAMILY,
         [
             annulus(1, BETA_1, BETA_2),
             annulus(2, BETA_1, BETA_3),
@@ -119,11 +119,11 @@ def two_annuli_disk_pair(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBoo
     )
 
 
-def two_annuli(family: ConfocalFamily = FIXTURE_FAMILY) -> BilliardBook:
+def two_annuli() -> BilliardBook:
     """Two annuli of different depth joined along the outer ellipse; a
     length-4 game with two outside hits, and a time-reversible book."""
     return make_book(
-        family,
+        FIXTURE_FAMILY,
         [annulus(1, BETA_1, BETA_2), annulus(2, BETA_1, BETA_3)],
         [(BETA_1, [[1, 2]])],
     )

@@ -19,7 +19,6 @@ from enum import Enum
 # Default tolerances.  The confocal equation is dimensionless once written as
 # x^2/(a-lam) + y^2/(b-lam) - 1, so residual tolerances are absolute.
 ON_CONIC_TOL = 1e-9
-TANGENCY_TOL = 1e-9
 T_MIN = 1e-10  # minimal ray parameter used to escape the current boundary point
 
 
@@ -77,13 +76,7 @@ class ConfocalFamily:
         return x * x / (self.a - lam) + y * y / (self.b - lam) - 1.0
 
 
-@dataclass(frozen=True)
-class ConicParam:
-    lam: float
-    kind: ConicKind
-
-
-def classify_conic(family: ConfocalFamily, lam: float) -> ConicParam:
+def classify_conic(family: ConfocalFamily, lam: float) -> ConicKind:
     """Classify the member C_lam of the family.
 
     Raises EmptyConic for lam > a (no real points) and for NaN.
@@ -91,14 +84,12 @@ def classify_conic(family: ConfocalFamily, lam: float) -> ConicParam:
     if not lam <= family.a:  # NaN fails every comparison, so it lands here
         raise EmptyConic(f"lam={lam} is not a conic parameter <= a={family.a}")
     if lam == family.a:
-        kind = ConicKind.DEGENERATE_MINOR_AXIS
-    elif lam == family.b:
-        kind = ConicKind.DEGENERATE_FOCAL_SEGMENT
-    elif lam < family.b:
-        kind = ConicKind.ELLIPSE
-    else:
-        kind = ConicKind.HYPERBOLA
-    return ConicParam(lam, kind)
+        return ConicKind.DEGENERATE_MINOR_AXIS
+    if lam == family.b:
+        return ConicKind.DEGENERATE_FOCAL_SEGMENT
+    if lam < family.b:
+        return ConicKind.ELLIPSE
+    return ConicKind.HYPERBOLA
 
 
 def caustic_parameter(

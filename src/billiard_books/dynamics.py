@@ -16,7 +16,7 @@ from enum import Enum
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .book import BilliardBook, BookError, Leaf, Side, boundary_side, invert_gluings
+from .book import BilliardBook, BookError, Side, boundary_side, invert_gluings
 from .conics import (
     ON_CONIC_TOL,
     T_MIN,
@@ -107,16 +107,6 @@ class Trajectory:
     status: str = STATUS_OK
 
 
-def contains(book: BilliardBook, leaf: Leaf, x: float, y: float) -> bool:
-    """Closed containment of a point in a leaf's region."""
-    fam = book.family
-    if fam.conic_residual(leaf.outer, x, y) > _CONTAINS_TOL:
-        return False
-    if leaf.inner is not None and fam.conic_residual(leaf.inner, x, y) < -_CONTAINS_TOL:
-        return False
-    return True
-
-
 def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, EventSide, int]:
     """The rule a particle on ``leaf_id`` meets at one of its boundary
     ellipses: (rule, event side, leaf after).
@@ -190,7 +180,9 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
     """
     x, y, vx, vy, leaf_id = state
     walls_of, transitions = book._walls, book._transitions
-    graze_tol = 1e-9 * book.family.a  # |B^2 - AC| below this is a tangential hit
+    # |B^2 - AC| below this is a tangential hit; it scales as a^3, as the
+    # discriminant does (1e-9 * a at a = 9), so a scaled book grazes alike
+    graze_tol = 1e-9 * book.family.a * (book.family.a / 9.0) ** 2
     while True:
         walls = walls_of.get(leaf_id)
         if walls is None:
@@ -283,7 +275,12 @@ def flow(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
     if abs(math.hypot(vx, vy) - 1.0) > UNIT_SPEED_TOL:
         raise DynamicsError(f"start velocity ({vx:.6g}, {vy:.6g}) is not a unit vector")
     leaf = book._by_id.get(leaf_id)
-    if leaf is None or not contains(book, leaf, x, y):
+    fam = book.family
+    if (
+        leaf is None
+        or fam.conic_residual(leaf.outer, x, y) > _CONTAINS_TOL
+        or leaf.inner is not None and fam.conic_residual(leaf.inner, x, y) < -_CONTAINS_TOL
+    ):
         raise EscapedLeaf(f"initial position ({x:.6g}, {y:.6g}) is not in leaf {leaf_id}")
     return _flow(book, state)
 

@@ -22,6 +22,7 @@ from .book import (
     BilliardBook,
     GluingPermutation,
     Leaf,
+    Violation,
 )
 from .conics import ConfocalFamily, directions_with_caustic
 from .dynamics import EventSide, PhaseState, TangentialHit, flow, step
@@ -64,13 +65,6 @@ class OrderedGame:
         return len(self.betas)
 
 
-@dataclass(frozen=True)
-class GameViolation:
-    code: str
-    message: str
-    index: int = -1
-
-
 def _same(x: float, y: float) -> bool:
     return abs(x - y) <= PARAM_TOL
 
@@ -83,15 +77,15 @@ def _repeats(betas: tuple[float, ...]) -> list[tuple[int, int]]:
     return [(k, (k + 1) % n) for k in range(n) if _same(betas[k], betas[(k + 1) % n])]
 
 
-def validate_game(game: OrderedGame) -> list[GameViolation]:
+def validate_game(game: OrderedGame) -> list[Violation]:
     """All rule violations; empty list means the game is playable."""
-    out: list[GameViolation] = []
+    out: list[Violation] = []
     n = len(game.betas)
     if n == 0:
-        return [GameViolation("Empty", "game has no reflections")]
+        return [Violation("Empty", "game has no reflections")]
     if len(game.signature) != n:
         out.append(
-            GameViolation(
+            Violation(
                 "LengthMismatch",
                 f"{n} ellipses but {len(game.signature)} signature entries",
             )
@@ -99,22 +93,35 @@ def validate_game(game: OrderedGame) -> list[GameViolation]:
         return out
     for k, (beta, sig) in enumerate(zip(game.betas, game.signature)):
         if sig not in (-1, 1):
-            out.append(GameViolation("BadSignature", f"signature[{k}] = {sig}", k))
+            out.append(Violation("BadSignature", f"signature[{k}] = {sig}"))
         if not (math.isfinite(beta) and beta < game.family.b):
             out.append(
-                GameViolation(
+                Violation(
                     "BetaOutOfRange",
                     f"betas[{k}] = {beta} is not an ellipse (needs finite < b = {game.family.b})",
-                    k,
                 )
             )
+    # ellipses that chain within PARAM_TOL but span more than it are neither
+    # one ellipse nor several, so no book can glue them
+    finite = sorted(beta for beta in game.betas if math.isfinite(beta))
+    lo = 0
+    for i in range(1, len(finite) + 1):
+        if i == len(finite) or not _same(finite[i - 1], finite[i]):
+            if not _same(finite[lo], finite[i - 1]):
+                out.append(
+                    Violation(
+                        "ChainedEllipses",
+                        f"ellipses {finite[lo]} to {finite[i - 1]} chain within "
+                        f"{PARAM_TOL} but span more",
+                    )
+                )
+            lo = i
     for k in range(n):
         if game.signature[k] == -1 and game.signature[(k + 1) % n] == -1:
             out.append(
-                GameViolation(
+                Violation(
                     "ConsecutiveOutside",
                     f"reflections {k} and {(k + 1) % n} are both from outside",
-                    k,
                 )
             )
     for k in range(n):
@@ -124,10 +131,9 @@ def validate_game(game: OrderedGame) -> list[GameViolation]:
         next_b = game.betas[(k + 1) % n]
         if not (game.betas[k] > prev_b and game.betas[k] > next_b):
             out.append(
-                GameViolation(
+                Violation(
                     "OutsideNotNested",
                     f"outside reflection {k} needs its ellipse inside both neighbours",
-                    k,
                 )
             )
     return out
@@ -136,8 +142,11 @@ def validate_game(game: OrderedGame) -> list[GameViolation]:
 def normalize_game(game: OrderedGame) -> tuple[OrderedGame, int]:
     """Cyclic rotation putting the outermost ellipse first with
     betas[0] != betas[-1]; returns (rotated game, shift applied).  A
-    one-reflection game is its own normal form."""
+    one-reflection game is its own normal form; an empty game raises
+    InvalidGame."""
     n = len(game.betas)
+    if n == 0:
+        raise InvalidGame(validate_game(game))
     if n == 1:
         return game, 0
     bmin = min(game.betas)
@@ -149,7 +158,7 @@ def normalize_game(game: OrderedGame) -> tuple[OrderedGame, int]:
             sig = game.signature[shift:] + game.signature[:shift]
             return OrderedGame(game.family, betas, sig), shift
     raise InvalidGame(
-        [GameViolation("ConstantGame", "all ellipses equal; no normalization exists")]
+        [Violation("ConstantGame", "all ellipses equal; no normalization exists")]
     )
 
 

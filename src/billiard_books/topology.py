@@ -630,22 +630,6 @@ def graphs_isomorphic(g1: FomenkoGraph, g2: FomenkoGraph) -> bool:
     return False
 
 
-def graph_from_census(
-    atoms: list[tuple[float, str]], edges: list[tuple[int, int]]
-) -> FomenkoGraph:
-    """Hand-built comparison graph: atoms as (lambda, type), edges by index.
-    Raises TopologyError for an edge naming an atom outside the list."""
-    built = [_atom(lam, *ATOMS.get(typ, (0, 0, -1))[:2], "reference") for lam, typ in atoms]
-    for i, j in edges:
-        if i not in range(len(built)) or j not in range(len(built)):
-            raise TopologyError(f"edge ({i}, {j}) names an atom outside range({len(built)})")
-    dummy = [
-        (i, j, RegimeDescriptor((built[i].lam, built[j].lam), (), 1))
-        for i, j in edges
-    ]
-    return FomenkoGraph(built, dummy)
-
-
 def to_dot(graph: FomenkoGraph) -> str:
     """Deterministic DOT rendering: vertices ``type@lambda``, edges labelled
     by their caustic interval."""

@@ -1,9 +1,31 @@
 """Reference Fomenko graphs for the catalog books, built by hand."""
 
-from billiard_books import FomenkoGraph, graph_from_census
+from billiard_books.topology import (
+    ATOMS,
+    FomenkoGraph,
+    RegimeDescriptor,
+    TopologyError,
+    _atom,
+)
 
 B1, B2, B3 = 0.0, 2.0, 3.5
 B, A = 4.0, 9.0
+
+
+def graph_from_census(
+    atoms: list[tuple[float, str]], edges: list[tuple[int, int]]
+) -> FomenkoGraph:
+    """Hand-built comparison graph: atoms as (lambda, type), edges by index.
+    Raises TopologyError for an edge naming an atom outside the list."""
+    built = [_atom(lam, *ATOMS.get(typ, (0, 0, -1))[:2], "reference") for lam, typ in atoms]
+    for i, j in edges:
+        if i not in range(len(built)) or j not in range(len(built)):
+            raise TopologyError(f"edge ({i}, {j}) names an atom outside range({len(built)})")
+    dummy = [
+        (i, j, RegimeDescriptor((built[i].lam, built[j].lam), (), 1))
+        for i, j in edges
+    ]
+    return FomenkoGraph(built, dummy)
 
 
 def ref_graph_annulus_two_disks() -> FomenkoGraph:

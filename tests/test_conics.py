@@ -21,11 +21,11 @@ from billiard_books.conics import (
 
 
 def test_classify(family):
-    assert classify_conic(family, 0.0).kind is ConicKind.ELLIPSE
-    assert classify_conic(family, 4.0).kind is ConicKind.DEGENERATE_FOCAL_SEGMENT
-    assert classify_conic(family, 6.5).kind is ConicKind.HYPERBOLA
-    assert classify_conic(family, 9.0).kind is ConicKind.DEGENERATE_MINOR_AXIS
-    assert classify_conic(family, -1.0).kind is ConicKind.ELLIPSE
+    assert classify_conic(family, 0.0) is ConicKind.ELLIPSE
+    assert classify_conic(family, 4.0) is ConicKind.DEGENERATE_FOCAL_SEGMENT
+    assert classify_conic(family, 6.5) is ConicKind.HYPERBOLA
+    assert classify_conic(family, 9.0) is ConicKind.DEGENERATE_MINOR_AXIS
+    assert classify_conic(family, -1.0) is ConicKind.ELLIPSE
     with pytest.raises(EmptyConic):
         classify_conic(family, 9.5)
 

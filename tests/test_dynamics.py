@@ -9,6 +9,8 @@ from billiard_books import (
     BilliardBook,
     ConfocalFamily,
     EventSide,
+    GluingPermutation,
+    Leaf,
     PhaseState,
     Rule,
     annulus,
@@ -385,6 +387,39 @@ def test_step_refuses_a_non_finite_state(books, k, bad):
     coords[k] = bad
     with pytest.raises(EscapedLeaf):
         step(books["chain_six"], PhaseState(*coords, 1))
+
+
+# --- scaling -----------------------------------------------------------------
+
+def scaled_book(book, s):
+    """The same billiard with every parameter times s, so every length times
+    sqrt(s)."""
+    return BilliardBook(
+        ConfocalFamily(book.family.a * s, book.family.b * s),
+        tuple(Leaf(lf.id, lf.outer * s, None if lf.inner is None else lf.inner * s)
+              for lf in book.leaves),
+        tuple(GluingPermutation(g.ellipse * s, g.mapping) for g in book.gluings),
+    )
+
+
+@pytest.mark.parametrize("k", [-6, -4, 4, 6])
+def test_a_scaled_book_gives_the_same_events(books, k):
+    """Scaling parameters by 10^k and positions by 10^(k/2) changes no
+    event's ellipse, side, rule or leaves, and no status: every tolerance
+    the kernel applies is in the book's own units."""
+    s, r = 10.0**k, 10.0 ** (k / 2)
+    for name, book in books.items():
+        big = scaled_book(book, s)
+        rng = rng_for(17)
+        for _ in range(4):
+            x, y, vx, vy, leaf_id = random_state(book, rng)
+            want = simulate(book, PhaseState(x, y, vx, vy, leaf_id), max_events=200)
+            got = simulate(big, PhaseState(x * r, y * r, vx, vy, leaf_id), max_events=200)
+            assert got.status == want.status, name
+            assert [(ev.ellipse, ev.side, ev.rule, ev.leaf_before, ev.leaf_after)
+                    for ev in got.events] == [
+                (ev.ellipse * s, ev.side, ev.rule, ev.leaf_before, ev.leaf_after)
+                for ev in want.events], name
 
 
 # --- CSV ---------------------------------------------------------------------

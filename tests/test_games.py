@@ -73,6 +73,27 @@ def test_normalize_puts_outermost_first(family):
     assert shift == 2
 
 
+def test_normalize_refuses_an_empty_game(family):
+    with pytest.raises(InvalidGame) as err:
+        normalize_game(game(family, (), ()))
+    assert codes(err.value.violations) == ["Empty"]
+
+
+@pytest.mark.parametrize(
+    "betas",
+    [
+        (0.0, 1.6, 1.6 + 8e-13, 1.6 + 1.6e-12),  # each within 1e-12 of the next
+        (1.6 + 1.6e-12, 0.0, 1.6, math.nan, 1.6 + 8e-13),  # out of order, past a NaN
+    ],
+)
+def test_validate_refuses_chained_ellipses(family, betas):
+    # no book glues them: compile_game's book once failed validate_book
+    g = game(family, betas, (1,) * len(betas))
+    assert "ChainedEllipses" in codes(validate_game(g))
+    with pytest.raises(InvalidGame):
+        compile_game(g)
+
+
 # --- compilation -------------------------------------------------------------
 
 def leaf_multiset(book):
@@ -191,6 +212,7 @@ def test_leaf_count_bounds(family):
         ((0.0, 2.0, 3.5), (1, 1), "LengthMismatch"),
         ((0.0, 2.0), (1, 0), "BadSignature"),
         ((1.0,), (-1,), "ConsecutiveOutside"),
+        ((1.6, 0.0, 1.6 + 8e-13, 0.0, 1.6 + 1.6e-12, 0.0), (1,) * 6, "ChainedEllipses"),
     ],
 )
 def test_leaf_count_bounds_refuses_invalid_games(family, betas, sig, code):

@@ -15,10 +15,10 @@ from billiard_books import (
     OrderedGame,
     build_fomenko_graph,
     compile_game,
-    graph_from_census,
     graphs_isomorphic,
 )
 
+from _refs import graph_from_census
 from test_games import random_valid_game
 
 

@@ -233,19 +233,20 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
         (["verify", "COMPILED", "COMPILED_GAME", "--start-leaf", "4"], 6, "sample 0: "),
         (["simulate", "COMPILED", "--leaf", "4", "--caustic", "1.0"], 3,
          "error: no point on leaf 4"),
+        (["compile", "CHAINED", "--general", "--out", "OUT"], 2, "ChainedEllipses: "),
     ],
     ids=["no-leaf", "pos-outside", "zero-vel", "nan-caustic", "negative-events",
          "negative-seed", "negative-samples", "verify-negative-seed", "no-start-leaf",
          "invalid-book", "constant-game", "foreign-family", "svg-too-many-leaves",
          "events-not-integer", "non-finite-book", "near-levels", "verify-from-a-disk",
-         "caustic-outside-leaf"],
+         "caustic-outside-leaf", "chained-ellipses"],
 )
 def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, code, complaint):
     """main returns the documented code, with no traceback or SystemExit."""
     fam = ConfocalFamily(9.0, 4.0)
     files = {name: tmp_path / name for name in (
         "BOOK", "GAME", "INVALID", "CONSTANT", "FOREIGN", "LARGE", "SVG", "NONFINITE", "NEAR",
-        "COMPILED", "COMPILED_GAME")}
+        "COMPILED", "COMPILED_GAME", "CHAINED", "OUT")}
     files["BOOK"].write_text(dumps_book(books["annulus_two_disks"]))
     write_game(files["GAME"], (0.0, 2.0), (1, 1))
     invalid = make_book(fam, [disk(1, 2.0)], [(2.0, [[1, 99]])])
@@ -262,6 +263,8 @@ def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, code, complain
     assert compiled.book.leaf(4) == disk(4, 2.0)
     files["COMPILED"].write_text(dumps_book(compiled.book))
     write_game(files["COMPILED_GAME"], (0.0, 2.0, 3.5), (1, 1, -1))
+    # each neighbour within 1e-12 of the next, the ends 1.6e-12 apart
+    write_game(files["CHAINED"], (0.0, 1.6, 1.6 + 8e-13, 1.6 + 1.6e-12), (1, 1, 1, 1))
     assert main([str(files.get(arg, arg)) for arg in argv]) == code
     captured = capsys.readouterr()
     assert complaint in captured.err

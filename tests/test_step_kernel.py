@@ -53,7 +53,7 @@ def reference_step(book, state):
     """The event ``step`` must make, one primitive call per wall."""
     fam = book.family
     x, y, vx, vy, leaf_id = state
-    graze_tol = 1e-9 * fam.a
+    graze_tol = 1e-9 * fam.a * (fam.a / 9.0) ** 2
     best = None  # (t, ellipse, grazing)
     for e in book.leaf(leaf_id).boundary_params():
         disc, roots = ray_intersections(fam, e, x, y, vx, vy)

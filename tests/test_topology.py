@@ -38,6 +38,7 @@ import _stepped_regimes
 from _stepped_regimes import stepped_regimes
 from _vertex_reference import reflection_states
 from _refs import (
+    graph_from_census,
     ref_graph_annulus_two_disks,
     ref_graph_chain_five,
     ref_graph_chain_six,
@@ -300,8 +301,6 @@ def test_graphs_isomorphic_basics(books):
 
 
 def test_graphs_isomorphic_sees_incidence():
-    from billiard_books import graph_from_census
-
     atoms = [(0.0, "A"), (0.0, "A"), (4.0, "B"), (4.0, "B"), (9.0, "A"), (9.0, "A")]
     straight = graph_from_census(atoms, [(0, 2), (1, 3), (2, 4), (3, 5), (2, 3), (2, 3)])
     crossed = graph_from_census(atoms, [(0, 2), (1, 3), (2, 4), (3, 5), (2, 3), (2, 2)])
@@ -312,8 +311,6 @@ def test_graphs_isomorphic_sees_incidence():
 
 @pytest.mark.parametrize("edge", [(0, 2), (0, -1), (-3, 1)])
 def test_graph_from_census_refuses_bad_edge(edge):
-    from billiard_books import graph_from_census
-
     with pytest.raises(TopologyError, match=rf"edge \({edge[0]}, {edge[1]}\)"):
         graph_from_census([(0.0, "A"), (1.0, "A")], [(0, 1), edge])
 

@@ -1,13 +1,15 @@
 """The benchmark's traced run (perfbench/spans.py) replaces library functions
 by the module or class attribute their callers look up.  A hooked name that
 is renamed or removed must fail here, in tier-1, and not only in the slow
-``pytest perfbench`` run."""
+``pytest perfbench`` run.  The same reading of the sources finds imports and
+module-level definitions that nothing reads."""
 
 import ast
 import importlib.util
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parent.parent
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_every_traced_name_exists():
@@ -39,7 +41,7 @@ def test_every_import_is_used_or_hooked():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    package = SPANS.parent.parent / "src" / "billiard_books"
+    package = ROOT / "src" / "billiard_books"
     unused = []
     for path in sorted(package.glob("*.py")):
         if path.name == "__init__.py":
@@ -50,3 +52,40 @@ def test_every_import_is_used_or_hooked():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used and name not in hooked]
     assert unused == []
+
+
+def _reads(tree):
+    """Every name the module loads, as a name, an attribute or a string
+    (``getattr``, ``monkeypatch.setattr`` and the hook table use strings)."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads.add(node.value)
+    return reads
+
+
+def test_every_definition_is_read():
+    """A module-level function, class or constant of the package that no code
+    in src, tests, demos or perfbench reads is dead and goes."""
+    sources = [path for folder in ("src", "tests", "demos", "perfbench")
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    reads = set()
+    for path in sources:
+        reads |= _reads(ast.parse(path.read_text(encoding="utf-8")))
+    unread = []
+    for path in sorted((ROOT / "src" / "billiard_books").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [f"{path.name}:{node.lineno} {name}" for name in names
+                       if name not in reads and not name.startswith("__")]
+    assert unread == []
