@@ -21,6 +21,12 @@ from .conics import ConfocalFamily
 PARAM_TOL = 1e-12  # tolerance when matching leaf boundaries to gluing keys
 
 
+def _same(x: float, y: float) -> bool:
+    """Whether two parameters name the same ellipse: the one place that
+    compares with PARAM_TOL."""
+    return abs(x - y) <= PARAM_TOL
+
+
 class BookError(Exception):
     pass
 
@@ -72,9 +78,9 @@ def annulus(leaf_id: int, lam_outer: float, lam_inner: float) -> Leaf:
 
 def boundary_side(leaf: Leaf, ellipse_param: float) -> Side:
     """Which side of the ellipse the leaf occupies at that boundary."""
-    if abs(leaf.outer - ellipse_param) <= PARAM_TOL:
+    if _same(leaf.outer, ellipse_param):
         return Side.WITHIN
-    if leaf.inner is not None and abs(leaf.inner - ellipse_param) <= PARAM_TOL:
+    if leaf.inner is not None and _same(leaf.inner, ellipse_param):
         return Side.OUTSIDE
     raise NotABoundary(f"{ellipse_param} is not a boundary of leaf {leaf.id}")
 
@@ -151,11 +157,6 @@ class BilliardBook:
     _transitions: dict[tuple[int, float], tuple] = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
-    # leaf id -> ((e, a - e, b - e) for each of its boundary parameters e),
-    # filled one leaf at a time by dynamics.step
-    _walls: dict[int, tuple[tuple[float, float, float], ...]] = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
-    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "_by_id", {lf.id: lf for lf in self.leaves})
@@ -167,26 +168,30 @@ class BilliardBook:
         return [
             lf.id
             for lf in self.leaves
-            if any(abs(p - ellipse_param) <= PARAM_TOL for p in lf.boundary_params())
+            if any(_same(p, ellipse_param) for p in lf.boundary_params())
         ]
 
     def gluing_for(self, ellipse_param: float) -> GluingPermutation | None:
         for g in self.gluings:
-            if abs(g.ellipse - ellipse_param) <= PARAM_TOL:
+            if _same(g.ellipse, ellipse_param):
                 return g
         return None
 
-    def boundary_values(self) -> list[float]:
-        """Distinct boundary parameters over all leaves, ascending."""
-        return list(self._boundary_values)
-
     @cached_property
-    def _boundary_values(self) -> tuple[float, ...]:
+    def boundary_values(self) -> tuple[float, ...]:
+        """Distinct boundary parameters over all leaves, ascending."""
         vals: list[float] = []
         for p in dict.fromkeys(p for lf in self.leaves for p in lf.boundary_params()):
-            if all(abs(p - q) > PARAM_TOL for q in vals):  # exact repeats are gone already
+            if not any(_same(p, q) for q in vals):  # exact repeats are gone already
                 vals.append(p)
         return tuple(sorted(vals))
+
+    @cached_property
+    def _walls(self) -> dict[int, tuple[tuple[float, float, float], ...]]:
+        """Leaf id -> (e, a - e, b - e) for each of its boundary parameters
+        e, the table the event kernel reads."""
+        a, b = self.family.a, self.family.b
+        return {lf.id: tuple((e, a - e, b - e) for e in lf.boundary_params()) for lf in self.leaves}
 
 
 def make_book(
@@ -235,12 +240,12 @@ def validate_book(book: BilliardBook) -> list[Violation]:
 
     seen_ellipses: list[float] = []
     for g in book.gluings:
-        if any(abs(g.ellipse - e) <= PARAM_TOL for e in seen_ellipses):
+        if any(_same(g.ellipse, e) for e in seen_ellipses):
             out.append(Violation("BadDomain", f"two gluings keyed by ellipse {g.ellipse}"))
         seen_ellipses.append(g.ellipse)
 
         near = [(lf.id, p) for lf in book.leaves for p in lf.boundary_params()
-                if abs(p - g.ellipse) <= PARAM_TOL]
+                if _same(p, g.ellipse)]
         expected = {lid for lid, _ in near}
         domain = set(g.mapping)
         if domain != expected:
@@ -254,7 +259,7 @@ def validate_book(book: BilliardBook) -> list[Violation]:
             )
         # transition matches each leaf's own parameter on its image leaf
         ps = [p for _, p in near]
-        if ps and max(ps) - min(ps) > PARAM_TOL:
+        if ps and not _same(min(ps), max(ps)):
             msg = f"gluing at {g.ellipse}: leaf boundaries {min(ps)} and {max(ps)} differ"
             out.append(Violation("BadDomain", f"{msg} by more than {PARAM_TOL}"))
         if sorted(g.mapping.values()) != sorted(g.mapping):
@@ -296,43 +301,54 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise SchemaError(f"{path}: {msg}")
 
 
-def book_from_dict(data: object) -> BilliardBook:
-    _expect(isinstance(data, dict), "$", "expected an object")
-    assert isinstance(data, dict)
-    unknown = set(data) - {"family", "leaves", "gluings"}
-    _expect(not unknown, "$", f"unknown fields {sorted(unknown)}")
+_NUMBER = (int, float)
 
-    fam = data.get("family")
-    _expect(isinstance(fam, dict), "$.family", "expected an object")
+
+def _is(value: object, kind: type | tuple[type, ...]) -> bool:
+    """``isinstance`` for a JSON value: a bool is neither a number nor an integer."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _object(data: object, path: str, fields: tuple[str, ...]) -> dict:
+    """``data`` as an object with no field outside ``fields``."""
+    _expect(isinstance(data, dict), path, "expected an object")
+    assert isinstance(data, dict)
+    unknown = set(data) - set(fields)
+    _expect(not unknown, path, f"unknown fields {sorted(unknown)}")
+    return data
+
+
+def _family(data: dict) -> ConfocalFamily:
+    """The ``family`` object of a book or game document."""
+    fam = _object(data.get("family"), "$.family", ("a", "b"))
     for key in ("a", "b"):
-        _expect(
-            isinstance(fam.get(key), (int, float)), f"$.family.{key}", "expected a number"
-        )
+        _expect(_is(fam.get(key), _NUMBER), f"$.family.{key}", "expected a number")
     try:
-        family = ConfocalFamily(float(fam["a"]), float(fam["b"]))
+        return ConfocalFamily(float(fam["a"]), float(fam["b"]))
     except ValueError as err:
         raise SchemaError(f"$.family: {err}") from err
+
+
+def book_from_dict(data: object) -> BilliardBook:
+    data = _object(data, "$", ("family", "leaves", "gluings"))
+    family = _family(data)
 
     raw_leaves = data.get("leaves")
     _expect(isinstance(raw_leaves, list) and raw_leaves, "$.leaves", "expected a non-empty array")
     leaves: list[Leaf] = []
     for i, item in enumerate(raw_leaves):
         path = f"$.leaves[{i}]"
-        _expect(isinstance(item, dict), path, "expected an object")
-        _expect(isinstance(item.get("id"), int), f"{path}.id", "expected an integer")
+        item = _object(item, path, ("id", "disk", "annulus"))
+        _expect(_is(item.get("id"), int), f"{path}.id", "expected an integer")
         kinds = [k for k in ("disk", "annulus") if k in item]
         _expect(len(kinds) == 1, path, "expected exactly one of 'disk'/'annulus'")
-        unknown = set(item) - {"id", "disk", "annulus"}
-        _expect(not unknown, path, f"unknown fields {sorted(unknown)}")
         if kinds[0] == "disk":
-            _expect(isinstance(item["disk"], (int, float)), f"{path}.disk", "expected a number")
+            _expect(_is(item["disk"], _NUMBER), f"{path}.disk", "expected a number")
             leaves.append(Leaf(item["id"], float(item["disk"])))
         else:
             arr = item["annulus"]
             _expect(
-                isinstance(arr, list)
-                and len(arr) == 2
-                and all(isinstance(x, (int, float)) for x in arr),
+                isinstance(arr, list) and len(arr) == 2 and all(_is(x, _NUMBER) for x in arr),
                 f"{path}.annulus",
                 "expected [outer, inner] numbers",
             )
@@ -343,15 +359,13 @@ def book_from_dict(data: object) -> BilliardBook:
     gluings: list[GluingPermutation] = []
     for i, item in enumerate(raw_gluings):
         path = f"$.gluings[{i}]"
-        _expect(isinstance(item, dict), path, "expected an object")
-        _expect(
-            isinstance(item.get("ellipse"), (int, float)), f"{path}.ellipse", "expected a number"
-        )
+        item = _object(item, path, ("ellipse", "cycles"))
+        _expect(_is(item.get("ellipse"), _NUMBER), f"{path}.ellipse", "expected a number")
         cycles = item.get("cycles")
         _expect(isinstance(cycles, list), f"{path}.cycles", "expected an array of arrays")
         for j, cyc in enumerate(cycles):
             _expect(
-                isinstance(cyc, list) and all(isinstance(x, int) for x in cyc),
+                isinstance(cyc, list) and all(_is(x, int) for x in cyc),
                 f"{path}.cycles[{j}]",
                 "expected an array of leaf ids",
             )

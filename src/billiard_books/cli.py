@@ -15,8 +15,8 @@ import json
 import math
 import sys
 
-from .book import BilliardBook, BookError, SchemaError, load_book, save_book, validate_book
-from .conics import ConfocalFamily
+from .book import _NUMBER, BilliardBook, BookError, SchemaError, _family, _is, _object
+from .book import load_book, save_book, validate_book
 from .conics import directions_with_caustic  # noqa: F401  hooked by perfbench/spans.py
 from .dynamics import (
     DynamicsError,
@@ -69,23 +69,15 @@ def _leaf_or_smallest(book: BilliardBook, leaf_id: int | None) -> int:
 def _load_valid_game(path: str) -> OrderedGame:
     """The game stored at ``path``; raises InvalidGame listing its violations."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise SchemaError("$: expected an object")
-    fam = data.get("family")
-    if not isinstance(fam, dict) or not all(isinstance(fam.get(k), (int, float)) for k in "ab"):
-        raise SchemaError("$.family: expected {a, b} numbers")
+        data = _object(json.load(fh), "$", ("family", "betas", "signature"))
+    family = _family(data)
     betas = data.get("betas")
     sig = data.get("signature")
-    if not isinstance(betas, list) or not all(isinstance(x, (int, float)) for x in betas):
+    if not isinstance(betas, list) or not all(_is(x, _NUMBER) for x in betas):
         raise SchemaError("$.betas: expected an array of numbers")
-    if not isinstance(sig, list) or not all(s in (1, -1) for s in sig):
+    if not isinstance(sig, list) or not all(_is(s, _NUMBER) and s in (1, -1) for s in sig):
         raise SchemaError("$.signature: expected an array of 1/-1")
-    game = OrderedGame(
-        ConfocalFamily(float(fam["a"]), float(fam["b"])),
-        tuple(float(x) for x in betas),
-        tuple(int(s) for s in sig),
-    )
+    game = OrderedGame(family, tuple(float(x) for x in betas), tuple(int(s) for s in sig))
     violations = validate_game(game)
     if violations:
         raise InvalidGame(violations)

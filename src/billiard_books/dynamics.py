@@ -184,14 +184,9 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
     # discriminant does (1e-9 * a at a = 9), so a scaled book grazes alike
     graze_tol = 1e-9 * book.family.a * (book.family.a / 9.0) ** 2
     while True:
-        walls = walls_of.get(leaf_id)
-        if walls is None:
-            fam = book.family
-            walls = tuple((e, fam.a - e, fam.b - e) for e in book.leaf(leaf_id).boundary_params())
-            walls_of[leaf_id] = walls
         vxx, vyy, xvx, yvy, xx, yy = vx * vx, vy * vy, x * vx, y * vy, x * x, y * y
         best = None  # (t, ellipse, a - ellipse, b - ellipse, grazing)
-        for e, da, db in walls:
+        for e, da, db in walls_of[leaf_id]:
             # A t^2 + 2 B t + C = 0 for the ray against C_e
             A = vxx * db + vyy * da
             B = xvx * db + yvy * da

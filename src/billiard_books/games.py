@@ -23,6 +23,7 @@ from .book import (
     GluingPermutation,
     Leaf,
     Violation,
+    _same,
 )
 from .conics import ConfocalFamily, directions_with_caustic
 from .dynamics import EventSide, PhaseState, TangentialHit, flow, step
@@ -63,10 +64,6 @@ class OrderedGame:
     @property
     def n(self) -> int:
         return len(self.betas)
-
-
-def _same(x: float, y: float) -> bool:
-    return abs(x - y) <= PARAM_TOL
 
 
 def _repeats(betas: tuple[float, ...]) -> list[tuple[int, int]]:

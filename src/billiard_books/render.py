@@ -66,29 +66,25 @@ def trajectory_svg(
     sy0 = math.sqrt(fam.b)
     pitch = 2.0 * sx0 + 2.0 * _MARGIN
     leaves = sorted(book.leaves, key=lambda lf: lf.id)
-    offsets: dict[int, tuple[float, float]] = {}
-    for i, lf in enumerate(leaves):
-        offsets[lf.id] = ((i * pitch, 0.0) if spec.layout == "side-by-side" else (0.0, 0.0))
+    side_by_side = spec.layout == "side-by-side"
+    # leaf id -> offset of the panel it is drawn in; overlay has one panel
+    offsets = {lf.id: (i * pitch if side_by_side else 0.0, 0.0) for i, lf in enumerate(leaves)}
+    panels = list(dict.fromkeys(offsets.values()))
 
-    body = []
-    labels = []
-    for lf in leaves:
-        ox, oy = offsets[lf.id]
-        body.append(_leaf_paths(book, lf, ox, oy))
-        if spec.layout == "side-by-side":
-            labels.append(
-                f'<text x="{ox:.6g}" y="{sy0 + _MARGIN * 0.75:.6g}" '
-                f'font-size="{_MARGIN * 0.6:.6g}" text-anchor="middle" '
-                f'fill="#30435f">leaf {lf.id}</text>'
-            )
+    body = [_leaf_paths(book, lf, *offsets[lf.id]) for lf in leaves]
+    labels = [
+        f'<text x="{offsets[lf.id][0]:.6g}" y="{sy0 + _MARGIN * 0.75:.6g}" '
+        f'font-size="{_MARGIN * 0.6:.6g}" text-anchor="middle" '
+        f'fill="#30435f">leaf {lf.id}</text>'
+        for lf in leaves if side_by_side
+    ]
     if spec.show_caustic and traj is not None and traj.caustic < fam.b:
         cx, cy = fam.semi_axes(traj.caustic)
-        for lf in leaves if spec.layout == "side-by-side" else leaves[:1]:
-            ox, oy = offsets[lf.id]
-            body.append(
-                f'<path d="{_ellipse_path(cx, cy, ox, oy)}" fill="none" '
-                f'stroke="#b04a4a" stroke-dasharray="0.15,0.1" {_STROKE_TAIL}'
-            )
+        body += [
+            f'<path d="{_ellipse_path(cx, cy, ox, oy)}" fill="none" '
+            f'stroke="#b04a4a" stroke-dasharray="0.15,0.1" {_STROKE_TAIL}'
+            for ox, oy in panels
+        ]
     if traj is not None:
         # one chord per event, drawn on the leaf it runs in
         chord = (
@@ -101,7 +97,7 @@ def trajectory_svg(
             body.append(chord % (ox + x, oy + y, ox + ev.x, oy + ev.y))
             x, y, leaf_id = ev.x, ev.y, ev.leaf_after
 
-    width = pitch * len(leaves) if spec.layout == "side-by-side" else pitch
+    width = pitch * len(panels)
     x_lo = -sx0 - _MARGIN
     height = 2.0 * (sy0 + _MARGIN)
     view = f"{x_lo:.6g} {-sy0 - _MARGIN:.6g} {width:.6g} {height:.6g}"

@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .book import PARAM_TOL, BilliardBook, Side, _walk_cycles, boundary_side
+from .book import BilliardBook, Side, _same, _walk_cycles, boundary_side
 from .conics import inward_normal
 from .conics import directions_with_caustic, winding_sign  # noqa: F401  perfbench hooks them here
 from .dynamics import EventSide, PhaseState, Rule, glued_return_leaf, step, transition
@@ -100,7 +100,7 @@ def _reflection_key(keys: Iterable[tuple], signed: bool) -> frozenset:
 
 def critical_levels(book: BilliardBook) -> list[float]:
     """Distinct leaf-boundary parameters together with b and a, ascending."""
-    return book.boundary_values() + [book.family.b, book.family.a]
+    return [*book.boundary_values, book.family.b, book.family.a]
 
 
 def _level_tolerance(book: BilliardBook) -> float:
@@ -241,7 +241,7 @@ def grazing_probe_exits(
         exit_leaf = None
         for _ in range(4 * len(g.mapping) + 8):
             state, ev = step(book, state)
-            if abs(ev.ellipse - ellipse_param) > PARAM_TOL:
+            if not _same(ev.ellipse, ellipse_param):
                 break  # wandered off the grazing band; should not happen
             if boundary_side(book.leaf(ev.leaf_after), ellipse_param) is Side.OUTSIDE:
                 exit_leaf = ev.leaf_after

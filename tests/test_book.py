@@ -1,5 +1,9 @@
+import copy
+import json
 import math
+from importlib.resources import files
 
+import jsonschema
 import pytest
 
 from billiard_books import (
@@ -176,6 +180,79 @@ def test_schema_rejects_bad_family():
         loads_book('{"family": {"a": Infinity, "b": 4.0}, "leaves": [{"id": 1, "disk": 0.5}]}')
     with pytest.raises(SchemaError):
         loads_book("not json at all {")
+
+
+# values put in place of each value of a valid document
+_REPLACEMENTS = (True, False, None, 0, -1, 1.5, "x", [], [1], [True], {}, {"x": 1})
+_DELETE = object()
+
+
+def _containers(node, path=()):
+    """The path of every object and array in a JSON document."""
+    if isinstance(node, (dict, list)):
+        yield path
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _containers(child, path + (key,))
+
+
+def _mutants(doc):
+    """Copies of ``doc`` that differ from it at one place: a value replaced
+    or removed, or a field or array item added."""
+    for path in list(_containers(doc)):
+        node = doc
+        for key in path:
+            node = node[key]
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        add = "extra" if isinstance(node, dict) else len(node)
+        changes = [(key, value) for key in keys for value in (*_REPLACEMENTS, _DELETE)]
+        changes += [(add, value) for value in _REPLACEMENTS]
+        for key, value in changes:
+            copied = copy.deepcopy(doc)
+            target = copied
+            for step in path:
+                target = target[step]
+            if value is _DELETE:
+                del target[key]
+            elif key == len(target):
+                target.append(copy.deepcopy(value))
+            else:
+                target[key] = copy.deepcopy(value)
+            yield copied
+
+
+def test_input_refuses_what_the_schema_refuses(family):
+    """jsonschema is the oracle: every one-place change of a valid book
+    document that the shipped schema refuses must raise SchemaError."""
+    schema = json.loads(files("billiard_books").joinpath("book.schema.json").read_text())
+    validator = jsonschema.Draft202012Validator(schema)
+    book = make_book(
+        family,
+        [annulus(1, 0.0, 2.0), disk(2, 2.0), disk(3, 2.0)],
+        [(2.0, [[1, 2], [3]])],
+    )
+    doc = book_to_dict(book)
+    assert validator.is_valid(doc)
+    refused = [m for m in _mutants(doc) if not validator.is_valid(m)]
+    assert len(refused) > 300
+    accepted = []
+    for mutant in refused:
+        try:
+            book_from_dict(mutant)
+        except SchemaError:
+            continue
+        accepted.append(mutant)
+    assert accepted == []
+
+
+def test_validate_refuses_two_gluings_on_one_ellipse(family):
+    book = BilliardBook(
+        family,
+        (disk(1, 2.0), disk(2, 2.0)),
+        (GluingPermutation(2.0, {1: 2, 2: 1}), GluingPermutation(2.0 + 5e-13, {1: 2, 2: 1})),
+    )
+    [violation] = validate_book(book)
+    assert violation.code == "BadDomain"
+    assert violation.message.startswith("two gluings keyed by ellipse")
 
 
 def test_invert_gluings(family):

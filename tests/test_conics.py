@@ -36,6 +36,12 @@ def test_classify_refuses_nan(family):
         classify_conic(family, math.nan)
 
 
+@pytest.mark.parametrize("lam", [4.0, 6.5])
+def test_semi_axes_refuse_a_non_ellipse(family, lam):
+    with pytest.raises(DegenerateConic, match=f"lam={lam}"):
+        family.semi_axes(lam)
+
+
 def test_caustic_parameter_values(family):
     assert caustic_parameter(family, 0.0, 2.0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
     assert caustic_parameter(family, 0.0, 0.0, 1.0, 0.0) == pytest.approx(4.0)
@@ -162,6 +168,17 @@ def test_directions_with_caustic_roundtrip(family):
         for vx, vy in directions_with_caustic(family, px, py, lam):
             assert math.hypot(vx, vy) == pytest.approx(1.0, abs=1e-12)
             assert caustic_parameter(family, px, py, vx, vy) == pytest.approx(lam, abs=1e-9)
+
+
+def test_directions_with_caustic_include_the_vertical(family):
+    # at px = 1 the caustic a - 1 = 8 makes the quadratic in the slope
+    # degenerate: the vertical direction and one slope remain
+    dirs = directions_with_caustic(family, 1.0, 1.0, 8.0)
+    assert (0.0, 1.0) in dirs and (0.0, -1.0) in dirs
+    assert len(dirs) == 4
+    for vx, vy in dirs:
+        assert math.hypot(vx, vy) == pytest.approx(1.0, abs=1e-12)
+        assert caustic_parameter(family, 1.0, 1.0, vx, vy) == pytest.approx(8.0, abs=1e-12)
 
 
 def test_directions_with_nan_caustic_are_none(family):

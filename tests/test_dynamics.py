@@ -273,6 +273,13 @@ def test_grazing_singular_when_chain_crosses(books):
     assert traj.events == []
 
 
+def test_reverse_refuses_a_singular_trajectory(books):
+    traj = simulate(books["two_annuli_two_disks"], tangent_start(), max_events=10)
+    assert traj.status == STATUS_SINGULAR
+    with pytest.raises(DynamicsError, match="singular level"):
+        reverse(books["two_annuli_two_disks"], traj)
+
+
 FAM = ConfocalFamily(9.0, 4.0)
 OWN_WALL_BOOKS = {
     "disk": make_book(FAM, [disk(1, 2.0)]),

@@ -234,19 +234,30 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
         (["simulate", "COMPILED", "--leaf", "4", "--caustic", "1.0"], 3,
          "error: no point on leaf 4"),
         (["compile", "CHAINED", "--general", "--out", "OUT"], 2, "ChainedEllipses: "),
+        (["compile", "BOOL_SIGNATURE", "--out", "OUT"], 3, "error: $.signature: "),
+        (["compile", "EXTRA_FIELD", "--out", "OUT"], 3, "error: $: unknown fields ['name']"),
+        (["compile", "NOT_OBJECT", "--out", "OUT"], 3, "error: $: expected an object"),
+        (["compile", "BAD_FAMILY", "--out", "OUT"], 3, "error: $.family.b: expected a number"),
+        (["compile", "BAD_BETAS", "--out", "OUT"], 3, "error: $.betas: "),
+        (["compile", "BAD_SIGNATURE", "--out", "OUT"], 3, "error: $.signature: "),
+        (["simulate", "BOOK", "--leaf", "1"], 3, "error: need either --pos/--vel or --caustic"),
+        (["simulate", "BOOK", "--pos=2.8", "--vel", "1,0"], 3, "argument --pos: expected 'x,y'"),
     ],
     ids=["no-leaf", "pos-outside", "zero-vel", "nan-caustic", "negative-events",
          "negative-seed", "negative-samples", "verify-negative-seed", "no-start-leaf",
          "invalid-book", "constant-game", "foreign-family", "svg-too-many-leaves",
          "events-not-integer", "non-finite-book", "near-levels", "verify-from-a-disk",
-         "caustic-outside-leaf", "chained-ellipses"],
+         "caustic-outside-leaf", "chained-ellipses", "bool-signature", "extra-game-field",
+         "game-not-object", "game-family-not-number", "betas-not-numbers", "signature-not-sign",
+         "no-start-mode", "pos-one-coordinate"],
 )
 def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, code, complaint):
     """main returns the documented code, with no traceback or SystemExit."""
     fam = ConfocalFamily(9.0, 4.0)
     files = {name: tmp_path / name for name in (
         "BOOK", "GAME", "INVALID", "CONSTANT", "FOREIGN", "LARGE", "SVG", "NONFINITE", "NEAR",
-        "COMPILED", "COMPILED_GAME", "CHAINED", "OUT")}
+        "COMPILED", "COMPILED_GAME", "CHAINED", "OUT", "BOOL_SIGNATURE", "EXTRA_FIELD",
+        "NOT_OBJECT", "BAD_FAMILY", "BAD_BETAS", "BAD_SIGNATURE")}
     files["BOOK"].write_text(dumps_book(books["annulus_two_disks"]))
     write_game(files["GAME"], (0.0, 2.0), (1, 1))
     invalid = make_book(fam, [disk(1, 2.0)], [(2.0, [[1, 99]])])
@@ -265,6 +276,17 @@ def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, code, complain
     write_game(files["COMPILED_GAME"], (0.0, 2.0, 3.5), (1, 1, -1))
     # each neighbour within 1e-12 of the next, the ends 1.6e-12 apart
     write_game(files["CHAINED"], (0.0, 1.6, 1.6 + 8e-13, 1.6 + 1.6e-12), (1, 1, 1, 1))
+    # game files the reader refuses before it looks at the game
+    family = {"a": 9.0, "b": 4.0}
+    for name, doc in (
+        ("BOOL_SIGNATURE", {"family": family, "betas": [0.0, 2.0], "signature": [True, 1]}),
+        ("EXTRA_FIELD", {"family": family, "betas": [0.0, 2.0], "signature": [1, 1], "name": 1}),
+        ("NOT_OBJECT", [0.0, 2.0]),
+        ("BAD_FAMILY", {"family": {"a": 9.0, "b": "4"}, "betas": [0.0], "signature": [1]}),
+        ("BAD_BETAS", {"family": family, "betas": [0.0, False], "signature": [1, 1]}),
+        ("BAD_SIGNATURE", {"family": family, "betas": [0.0, 2.0], "signature": [1, 2]}),
+    ):
+        files[name].write_text(json.dumps(doc))
     assert main([str(files.get(arg, arg)) for arg in argv]) == code
     captured = capsys.readouterr()
     assert complaint in captured.err

@@ -131,7 +131,7 @@ def random_glued_book(family, rng):
         leaves.append(disk(lid, pool[i]) if rng.random() < 0.5 else annulus(lid, pool[i], pool[j]))
     book = make_book(family, leaves)
     gluings = []
-    for e in book.boundary_values():
+    for e in book.boundary_values:
         ids = book.leaf_ids_on_ellipse(e)
         if len(ids) > 1:
             images = [int(x) for x in rng.permutation(ids)]
