@@ -216,6 +216,8 @@ class Violation:
 def validate_book(book: BilliardBook) -> list[Violation]:
     """All structural violations; an empty list means the book is valid."""
     out: list[Violation] = []
+    if not book.leaves:  # the JSON form needs a leaf
+        out.append(Violation("Empty", "book has no leaves"))
     b = book.family.b
 
     seen_ids: set[int] = set()
@@ -227,16 +229,11 @@ def validate_book(book: BilliardBook) -> list[Violation]:
             out.append(Violation("NotFinite", f"leaf {lf.id}: non-finite {lf.boundary_params()}"))
         elif lf.is_disk:
             if not lf.outer < b:
-                out.append(
-                    Violation("BadLeafOrder", f"leaf {lf.id}: disk parameter {lf.outer} >= b={b}")
-                )
+                msg = f"leaf {lf.id}: disk parameter {lf.outer} >= b={b}"
+                out.append(Violation("BadLeafOrder", msg))
         elif not (lf.outer < lf.inner < b):
-            out.append(
-                Violation(
-                    "BadLeafOrder",
-                    f"leaf {lf.id}: annulus needs outer < inner < b, got ({lf.outer}, {lf.inner})",
-                )
-            )
+            msg = f"leaf {lf.id}: annulus needs outer < inner < b, got ({lf.outer}, {lf.inner})"
+            out.append(Violation("BadLeafOrder", msg))
 
     seen_ellipses: list[float] = []
     for g in book.gluings:
@@ -309,6 +306,13 @@ def _is(value: object, kind: type | tuple[type, ...]) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _int(value: object, path: str) -> int:
+    """A JSON integer as JSON Schema counts one: an int or an integral float."""
+    ok = _is(value, int) or _is(value, float) and value.is_integer()
+    _expect(ok, path, "expected an integer")
+    return int(value)
+
+
 def _object(data: object, path: str, fields: tuple[str, ...]) -> dict:
     """``data`` as an object with no field outside ``fields``."""
     _expect(isinstance(data, dict), path, "expected an object")
@@ -339,20 +343,17 @@ def book_from_dict(data: object) -> BilliardBook:
     for i, item in enumerate(raw_leaves):
         path = f"$.leaves[{i}]"
         item = _object(item, path, ("id", "disk", "annulus"))
-        _expect(_is(item.get("id"), int), f"{path}.id", "expected an integer")
+        leaf_id = _int(item.get("id"), f"{path}.id")
         kinds = [k for k in ("disk", "annulus") if k in item]
         _expect(len(kinds) == 1, path, "expected exactly one of 'disk'/'annulus'")
         if kinds[0] == "disk":
             _expect(_is(item["disk"], _NUMBER), f"{path}.disk", "expected a number")
-            leaves.append(Leaf(item["id"], float(item["disk"])))
+            leaves.append(Leaf(leaf_id, float(item["disk"])))
         else:
             arr = item["annulus"]
-            _expect(
-                isinstance(arr, list) and len(arr) == 2 and all(_is(x, _NUMBER) for x in arr),
-                f"{path}.annulus",
-                "expected [outer, inner] numbers",
-            )
-            leaves.append(Leaf(item["id"], float(arr[0]), float(arr[1])))
+            ok = isinstance(arr, list) and len(arr) == 2 and all(_is(x, _NUMBER) for x in arr)
+            _expect(ok, f"{path}.annulus", "expected [outer, inner] numbers")
+            leaves.append(Leaf(leaf_id, float(arr[0]), float(arr[1])))
 
     raw_gluings = data.get("gluings", [])
     _expect(isinstance(raw_gluings, list), "$.gluings", "expected an array")
@@ -364,11 +365,9 @@ def book_from_dict(data: object) -> BilliardBook:
         cycles = item.get("cycles")
         _expect(isinstance(cycles, list), f"{path}.cycles", "expected an array of arrays")
         for j, cyc in enumerate(cycles):
-            _expect(
-                isinstance(cyc, list) and all(_is(x, int) for x in cyc),
-                f"{path}.cycles[{j}]",
-                "expected an array of leaf ids",
-            )
+            _expect(isinstance(cyc, list), f"{path}.cycles[{j}]", "expected an array of leaf ids")
+        cycles = [[_int(x, f"{path}.cycles[{j}][{k}]") for k, x in enumerate(cyc)]
+                  for j, cyc in enumerate(cycles)]
         flat = [x for cyc in cycles for x in cyc]
         _expect(len(flat) == len(set(flat)), f"{path}.cycles", "cycles overlap")
         gluings.append(GluingPermutation.from_cycles(float(item["ellipse"]), cycles))

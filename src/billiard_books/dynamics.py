@@ -172,27 +172,29 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
     """The event kernel: the events from ``state`` until a hit grazes or
     none is found, which raise as ``step`` says.
 
-    It makes no call per wall: it reads the leaf's walls (e, a - e, b - e)
-    from the book's table and computes inline, in the same order, what
-    ``ray_intersections``, ``ray_conic_coefficients``, ``project_to_conic``
-    and ``reflect`` compute, so every float is theirs.  The state after an
-    event stays in locals until the next one.
+    It computes inline, in the same order, what ``ray_intersections``,
+    ``ray_conic_coefficients``, ``project_to_conic`` and ``reflect`` do, on
+    the leaf's walls (e, a - e, b - e) from the book's table, so every float
+    is theirs.  It does nothing else per event: state, nearest hit and the
+    globals it reads are locals, and an event is made by ``tuple.__new__``.
     """
+    sqrt, hypot, t_min, tie_tol, on_tol = math.sqrt, math.hypot, T_MIN, TIE_TOL, ON_CONIC_TOL
+    r3, event, new = Rule.R3, TrajectoryEvent, tuple.__new__
     x, y, vx, vy, leaf_id = state
-    walls_of, transitions = book._walls, book._transitions
+    walls_of, known_rule = book._walls, book._transitions.get
     # |B^2 - AC| below this is a tangential hit; it scales as a^3, as the
     # discriminant does (1e-9 * a at a = 9), so a scaled book grazes alike
     graze_tol = 1e-9 * book.family.a * (book.family.a / 9.0) ** 2
     while True:
         vxx, vyy, xvx, yvy, xx, yy = vx * vx, vy * vy, x * vx, y * vy, x * x, y * y
-        best = None  # (t, ellipse, a - ellipse, b - ellipse, grazing)
+        bt = None  # the nearest hit: t, ellipse, a - ellipse, b - ellipse, grazing
         for e, da, db in walls_of[leaf_id]:
             # A t^2 + 2 B t + C = 0 for the ray against C_e
             A = vxx * db + vyy * da
             B = xvx * db + yvy * da
             C = xx * db + yy * da - da * db
             disc = B * B - A * C
-            grazing = abs(disc) < graze_tol
+            grazing = -graze_tol < disc < graze_tol  # abs(disc) < graze_tol, NaN too
             if grazing:
                 # the double root may be lost to rounding, so rebuild it
                 roots = (-B / A,) if A != 0.0 else ()
@@ -200,52 +202,51 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
                 continue
             else:
                 # the cancellation-free two-root form
-                s = math.sqrt(disc)
+                s = sqrt(disc)
                 q = -(B + s) if B >= 0.0 else -(B - s)
                 if q == 0.0:
                     continue  # its one root, q / A, is 0: no hit ahead
                 roots = (q / A, C / q) if A != 0.0 else (C / q,)
             for t in roots:
-                if not t > T_MIN:  # a NaN root is no hit either
+                if not t > t_min:  # a NaN root is no hit either
                     continue
-                if best is None or t < best[0] - TIE_TOL:
-                    best = (t, e, da, db, grazing)
-                elif abs(t - best[0]) <= TIE_TOL and e < best[1]:
+                if bt is None or t < bt - tie_tol:
+                    bt, be, bda, bdb, bg = t, e, da, db, grazing
+                elif abs(t - bt) <= tie_tol and e < be:
                     log.warning("boundary tie at t=%.3e; taking smaller ellipse %s", t, e)
-                    best = (t, e, da, db, grazing)
-        if best is None:
+                    bt, be, bda, bdb, bg = t, e, da, db, grazing
+        if bt is None:
             raise EscapedLeaf(f"ray from ({x:.6g}, {y:.6g}) on leaf {leaf_id} hits no boundary")
-        t, e, da, db, grazing = best
-        hx = x + t * vx
-        hy = y + t * vy
-        if grazing:
-            raise TangentialHit(e, hx, hy, t, PhaseState(x, y, vx, vy, leaf_id))
+        hx = x + bt * vx
+        hy = y + bt * vy
+        if bg:
+            raise TangentialHit(be, hx, hy, bt, PhaseState(x, y, vx, vy, leaf_id))
         # radial rescale onto C_e
-        q = hx * hx / da + hy * hy / db
+        q = hx * hx / bda + hy * hy / bdb
         if not q <= 0.0:
-            s = 1.0 / math.sqrt(q)
+            s = 1.0 / sqrt(q)
             hx, hy = hx * s, hy * s
 
-        known = transitions.get((leaf_id, e))
-        rule, event_side, leaf_after = known if known is not None else transition(book, leaf_id, e)
-        if rule is Rule.R3:
-            n = math.hypot(vx, vy)
+        known = known_rule((leaf_id, be))
+        rule, event_side, leaf_after = known if known is not None else transition(book, leaf_id, be)
+        if rule is r3:
+            n = hypot(vx, vy)
             vx, vy = vx / n, vy / n
         else:
             # mirror across the tangent of C_e: normal component negated
-            res = hx * hx / da + hy * hy / db - 1.0
-            if abs(res) > ON_CONIC_TOL:
-                raise PointNotOnConic(f"residual {res:.3e} at ({hx}, {hy}) on C_{e}")
-            nx = hx / da
-            ny = hy / db
-            n = math.hypot(nx, ny)
+            res = hx * hx / bda + hy * hy / bdb - 1.0
+            if res > on_tol or res < -on_tol:  # abs(res) > ON_CONIC_TOL, NaN too
+                raise PointNotOnConic(f"residual {res:.3e} at ({hx}, {hy}) on C_{be}")
+            nx = hx / bda
+            ny = hy / bdb
+            n = hypot(nx, ny)
             nx, ny = -nx / n, -ny / n
             d = vx * nx + vy * ny
             wx = vx - 2.0 * d * nx
             wy = vy - 2.0 * d * ny
-            n = math.hypot(wx, wy)
+            n = hypot(wx, wy)
             vx, vy = wx / n, wy / n
-        yield TrajectoryEvent(hx, hy, e, event_side, rule, leaf_id, leaf_after, vx, vy)
+        yield new(event, (hx, hy, be, event_side, rule, leaf_id, leaf_after, vx, vy))
         x, y, leaf_id = hx, hy, leaf_after
 
 
@@ -306,15 +307,19 @@ def simulate(
 
     The status is SingularLevelHit exactly when the flow ended on a
     singular level before ``max_events`` events; ``final`` is the state
-    after the last event, or ``state`` when there is none.
+    after the last event, or ``state`` when there is none.  The drift, the
+    largest |caustic_parameter(event) - caustic| or 0.0, is computed inline.
     """
     fam = book.family
     events_from = flow(book, state)
     caustic0 = caustic_parameter(fam, state.x, state.y, state.vx, state.vy)
     events = list(islice(events_from, max(max_events, 0)))
+    a, b = fam.a, fam.b
     drift = 0.0
-    for ev in events:
-        drift = max(drift, abs(caustic_parameter(fam, ev.x, ev.y, ev.vx, ev.vy) - caustic0))
+    for x, y, _, _, _, _, _, vx, vy in events:  # caustic_parameter, inline and in its order
+        cross = x * vy - y * vx
+        d = abs(a * vy * vy + b * vx * vx - cross * cross - caustic0)
+        drift = d if d > drift else drift  # a NaN d is skipped, as by max(drift, d)
     final = state
     if events:
         last = events[-1]

@@ -332,9 +332,10 @@ def sample_trace(
     on a singular level or crosses too often before the last of them.  No
     event after the ``need``-th reflection is computed."""
     trace: list[tuple[float, EventSide]] = []
+    append, crossing = trace.append, EventSide.PASS_THROUGH
     for ev in islice(flow(book, state), 4 * need + 8):
-        if ev.side is not EventSide.PASS_THROUGH:  # ev.is_reflection, without the property call
-            trace.append((ev.ellipse, ev.side))
+        if ev.side is not crossing:  # ev.is_reflection, without the property call
+            append((ev.ellipse, ev.side))
             if len(trace) == need:
                 break
     return trace

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from importlib.resources import files
 
 import jsonschema
@@ -195,17 +196,17 @@ def _containers(node, path=()):
             yield from _containers(child, path + (key,))
 
 
-def _mutants(doc):
+def _mutants(doc, replacements=_REPLACEMENTS):
     """Copies of ``doc`` that differ from it at one place: a value replaced
-    or removed, or a field or array item added."""
+    (by one of ``replacements``) or removed, or a field or array item added."""
     for path in list(_containers(doc)):
         node = doc
         for key in path:
             node = node[key]
         keys = list(node) if isinstance(node, dict) else list(range(len(node)))
         add = "extra" if isinstance(node, dict) else len(node)
-        changes = [(key, value) for key in keys for value in (*_REPLACEMENTS, _DELETE)]
-        changes += [(add, value) for value in _REPLACEMENTS]
+        changes = [(key, value) for key in keys for value in (*replacements, _DELETE)]
+        changes += [(add, value) for value in replacements]
         for key, value in changes:
             copied = copy.deepcopy(doc)
             target = copied
@@ -242,6 +243,81 @@ def test_input_refuses_what_the_schema_refuses(family):
             continue
         accepted.append(mutant)
     assert accepted == []
+
+
+# what the schema accepts and the reader refuses for a reason JSON Schema
+# cannot state: a family with a <= b, and cycles that share a leaf
+_BEYOND_SCHEMA = r"\$\.family: require finite a > b > 0|\$\.gluings\[0\]\.cycles: cycles overlap"
+
+
+def test_input_loads_what_the_schema_accepts(family):
+    """The converse of test_input_refuses_what_the_schema_refuses: every
+    one-place change of a valid book document that the shipped schema
+    accepts loads, integral floats (which JSON Schema counts as integers)
+    among them, unless the reader refuses it for a reason in _BEYOND_SCHEMA."""
+    schema = json.loads(files("billiard_books").joinpath("book.schema.json").read_text())
+    validator = jsonschema.Draft202012Validator(schema)
+    book = make_book(
+        family,
+        [annulus(1, 0.0, 2.0), disk(2, 2.0), disk(3, 2.0)],
+        [(2.0, [[1, 2], [3]])],
+    )
+    doc = book_to_dict(book)
+    accepted = [m for m in _mutants(doc, (*_REPLACEMENTS, 1.0, 2.0, 3.0, -1.0, 1e300))
+                if validator.is_valid(m)]
+    beyond = 0
+    for mutant in accepted:
+        try:
+            loaded = book_from_dict(mutant)
+        except SchemaError as err:
+            assert re.fullmatch(_BEYOND_SCHEMA, str(err).split(", got")[0]), (err, mutant)
+            beyond += 1
+            continue
+        for lf in loaded.leaves:
+            assert type(lf.id) is int
+        for g in loaded.gluings:
+            assert all(type(k) is int and type(v) is int for k, v in g.mapping.items())
+    assert len(accepted) - beyond > 100
+
+
+def test_integral_float_ids_load_as_integers(family):
+    doc = {
+        "family": {"a": 9.0, "b": 4.0},
+        "leaves": [{"id": 1.0, "annulus": [0.0, 2.0]}, {"id": 2, "disk": 2.0}],
+        "gluings": [{"ellipse": 2.0, "cycles": [[1.0, 2]]}],
+    }
+    book = book_from_dict(doc)
+    assert book == make_book(family, [annulus(1, 0.0, 2.0), disk(2, 2.0)], [(2.0, [[1, 2]])])
+    data = book_to_dict(book)
+    assert [type(lf["id"]) for lf in data["leaves"]] == [int, int]
+    assert [type(x) for x in data["gluings"][0]["cycles"][0]] == [int, int]
+    for bad in (1.5, True, float("inf"), float("nan")):
+        for where in (("leaves", 0, "id"), ("gluings", 0, "cycles", 0, 0)):
+            mutant = copy.deepcopy(doc)
+            node = mutant
+            for key in where[:-1]:
+                node = node[key]
+            node[where[-1]] = bad
+            with pytest.raises(SchemaError, match="expected an integer"):
+                book_from_dict(mutant)
+
+
+def test_every_valid_book_survives_its_json(books, family):
+    """A book validate_book accepts loads back from dumps_book as a valid
+    book with the same JSON; the empty book, whose JSON no reader takes,
+    is refused."""
+    empty = BilliardBook(family, ())
+    corpus = [*books.values(), empty, BilliardBook(family, (disk(7, 1.0),))]
+    corpus += [invert_gluings(book) for book in books.values()]
+    for book in corpus:
+        if validate_book(book):
+            continue
+        again = loads_book(dumps_book(book))
+        assert validate_book(again) == []
+        assert dumps_book(again) == dumps_book(book)
+    assert codes(validate_book(empty)) == ["Empty"]
+    with pytest.raises(SchemaError, match="non-empty array"):
+        loads_book(dumps_book(empty))
 
 
 def test_validate_refuses_two_gluings_on_one_ellipse(family):

@@ -1,5 +1,6 @@
 import csv
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,8 @@ from billiard_books.dynamics import (
     STATUS_SINGULAR,
     DynamicsError,
     EscapedLeaf,
+    TangentialHit,
+    TrajectoryEvent,
     flow,
     time_reversed_start,
     transition,
@@ -349,6 +352,63 @@ def test_simulate_is_a_prefix_of_the_flow(books, start, m, more):
         simulate(book, outside, max_events=0)
     with pytest.raises(EscapedLeaf):
         flow(book, outside)
+
+
+# --- event records and caustic drift -------------------------------------------
+
+def tangent_reflect_start():
+    """The chord of ``tangent_start`` run backwards: it reflects on leaf 1's
+    outer wall first, and every chord after it grazes C_2."""
+    return PhaseState(-2.0, math.sqrt(2.0), -1.0, 0.0, 1)
+
+
+def drift_runs(books):
+    """(book, start, max_events) of catalog runs from random starts, a run
+    through grazing continuations, one that ends on a singular level after
+    a reflection, and a run with no event."""
+    for book in books.values():
+        rng = rng_for(23)
+        for _ in range(3):
+            yield book, random_state(book, rng), 300
+    yield books["annulus_two_disks"], tangent_reflect_start(), 12
+    yield books["two_annuli_two_disks"], tangent_reflect_start(), 12
+    yield books["chain_six"], toward_e2_state(books["chain_six"]), 0
+
+
+def test_drift_run_kinds(books):
+    """The runs of ``drift_runs`` have the kinds their docstring names."""
+    *_, cont, singular, empty = [simulate(*run) for run in drift_runs(books)]
+    assert cont.status == STATUS_OK and any(
+        ev.rule is Rule.R3 and ev.leaf_before == ev.leaf_after for ev in cont.events)
+    assert singular.status == STATUS_SINGULAR and len(singular.events) == 1
+    assert empty.events == [] and empty.caustic_drift == 0.0
+
+
+def test_events_are_trajectory_events(books):
+    """step, flow and simulate give TrajectoryEvent records, not plain
+    tuples, which compare equal to them under ==."""
+    for book, state, cap in drift_runs(books):
+        evs = simulate(book, state, cap).events
+        assert all(type(ev) is TrajectoryEvent for ev in evs)
+        assert all(type(ev) is TrajectoryEvent for ev in islice(flow(book, state), cap))
+        for start in [state] + [post_state(ev) for ev in evs]:
+            try:
+                post, ev = step(book, start)
+            except TangentialHit:
+                continue  # a grazing hit is left to step's caller
+            assert type(ev) is TrajectoryEvent and type(post) is PhaseState
+
+
+def test_drift_is_the_largest_caustic_change_bit_for_bit(books):
+    """caustic_drift is max(0.0, |caustic_parameter(event) - caustic|, ...)
+    over the events, to the last bit."""
+    for book, state, cap in drift_runs(books):
+        traj = simulate(book, state, cap)
+        fam = book.family
+        assert traj.caustic == caustic_parameter(fam, state.x, state.y, state.vx, state.vy)
+        want = max([0.0] + [abs(caustic_parameter(fam, ev.x, ev.y, ev.vx, ev.vy) - traj.caustic)
+                            for ev in traj.events])
+        assert traj.caustic_drift.hex() == want.hex()
 
 
 # --- start-state check --------------------------------------------------------
