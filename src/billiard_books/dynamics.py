@@ -175,20 +175,24 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
     It computes inline, in the same order, what ``ray_intersections``,
     ``ray_conic_coefficients``, ``project_to_conic`` and ``reflect`` do, on
     the leaf's walls (e, a - e, b - e) from the book's table, so every float
-    is theirs.  It does nothing else per event: state, nearest hit and the
-    globals it reads are locals, and an event is made by ``tuple.__new__``.
+    is theirs.  Nothing else is done per event: state, nearest hit and the
+    globals read are locals; no assignment names over three targets, so none
+    builds a tuple; a wall's roots are t1 then t2 (NaN when absent); a unit
+    speed crossing keeps its velocity floats; ``tuple.__new__`` makes events.
     """
     sqrt, hypot, t_min, tie_tol, on_tol = math.sqrt, math.hypot, T_MIN, TIE_TOL, ON_CONIC_TOL
     r3, event, new = Rule.R3, TrajectoryEvent, tuple.__new__
     x, y, vx, vy, leaf_id = state
-    walls_of, known_rule = book._walls, book._transitions.get
+    walls_of, known_rule, nan = book._walls, book._transitions.get, math.nan
     # |B^2 - AC| below this is a tangential hit; it scales as a^3, as the
     # discriminant does (1e-9 * a at a = 9), so a scaled book grazes alike
     graze_tol = 1e-9 * book.family.a * (book.family.a / 9.0) ** 2
     while True:
-        vxx, vyy, xvx, yvy, xx, yy = vx * vx, vy * vy, x * vx, y * vy, x * x, y * y
-        bt = None  # the nearest hit: t, ellipse, a - ellipse, b - ellipse, grazing
-        for e, da, db in walls_of[leaf_id]:
+        vxx, vyy, xvx = vx * vx, vy * vy, x * vx
+        yvy, xx, yy = y * vy, x * x, y * y
+        bt = None  # the nearest hit: t, its wall (e, a - e, b - e), grazing
+        for wall in walls_of[leaf_id]:
+            e, da, db = wall
             # A t^2 + 2 B t + C = 0 for the ray against C_e
             A = vxx * db + vyy * da
             B = xvx * db + yvy * da
@@ -197,7 +201,8 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
             grazing = -graze_tol < disc < graze_tol  # abs(disc) < graze_tol, NaN too
             if grazing:
                 # the double root may be lost to rounding, so rebuild it
-                roots = (-B / A,) if A != 0.0 else ()
+                t1 = -B / A if A != 0.0 else nan
+                t2 = nan
             elif disc < 0.0:
                 continue
             else:
@@ -206,17 +211,23 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
                 q = -(B + s) if B >= 0.0 else -(B - s)
                 if q == 0.0:
                     continue  # its one root, q / A, is 0: no hit ahead
-                roots = (q / A, C / q) if A != 0.0 else (C / q,)
-            for t in roots:
-                if not t > t_min:  # a NaN root is no hit either
-                    continue
-                if bt is None or t < bt - tie_tol:
-                    bt, be, bda, bdb, bg = t, e, da, db, grazing
-                elif abs(t - bt) <= tie_tol and e < be:
-                    log.warning("boundary tie at t=%.3e; taking smaller ellipse %s", t, e)
-                    bt, be, bda, bdb, bg = t, e, da, db, grazing
+                t1 = q / A if A != 0.0 else nan
+                t2 = C / q
+            if t1 > t_min:  # a NaN root is no hit either
+                if bt is None or t1 < bt - tie_tol:
+                    bt, bw, bg = t1, wall, grazing
+                elif abs(t1 - bt) <= tie_tol and e < bw[0]:
+                    log.warning("boundary tie at t=%.3e; taking smaller ellipse %s", t1, e)
+                    bt, bw, bg = t1, wall, grazing
+            if t2 > t_min:
+                if bt is None or t2 < bt - tie_tol:
+                    bt, bw, bg = t2, wall, grazing
+                elif abs(t2 - bt) <= tie_tol and e < bw[0]:
+                    log.warning("boundary tie at t=%.3e; taking smaller ellipse %s", t2, e)
+                    bt, bw, bg = t2, wall, grazing
         if bt is None:
             raise EscapedLeaf(f"ray from ({x:.6g}, {y:.6g}) on leaf {leaf_id} hits no boundary")
+        be, bda, bdb = bw
         hx = x + bt * vx
         hy = y + bt * vy
         if bg:
@@ -231,7 +242,8 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
         rule, event_side, leaf_after = known if known is not None else transition(book, leaf_id, be)
         if rule is r3:
             n = hypot(vx, vy)
-            vx, vy = vx / n, vy / n
+            if n != 1.0:  # v / 1.0 is v: keep the same float objects
+                vx, vy = vx / n, vy / n
         else:
             # mirror across the tangent of C_e: normal component negated
             res = hx * hx / bda + hy * hy / bdb - 1.0
@@ -388,14 +400,16 @@ def trajectory_csv(traj: Trajectory) -> str:
     """One header line and one line per event, each ended by "\n".
 
     No field is quoted: each is an int, a float ``repr`` or an enum value,
-    none of which holds a comma, a quote or a line break.
+    none of which holds a comma, a quote or a line break.  A velocity that
+    is the same two objects as the row before's reuses its text.
     """
     rows = [",".join(CSV_HEADER)]
-    rows += [
-        f"{i},{before},{after},{e!r},{rule._value_},{side._value_},{x!r},{y!r},{vx!r},{vy!r}"
-        for i, (x, y, e, side, rule, before, after, vx, vy) in enumerate(traj.events)
-    ]
-    rows.append("")
+    append, pvx, pvy = rows.append, None, None
+    for i, (x, y, e, side, rule, before, after, vx, vy) in enumerate(traj.events):
+        if vx is not pvx or vy is not pvy:
+            pvx, pvy, v = vx, vy, f"{vx!r},{vy!r}"
+        append(f"{i},{before},{after},{e!r},{rule._value_},{side._value_},{x!r},{y!r},{v}")
+    append("")
     return "\n".join(rows)
 
 

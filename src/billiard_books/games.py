@@ -303,10 +303,14 @@ def admissible_start(
     leaf = book.leaf(leaf_id)
     sx = math.sqrt(fam.a - leaf.outer)
     sy = math.sqrt(fam.b - leaf.outer)
-    rng = np.random.default_rng(seed)
+    # rng.uniform(-s, s) as numpy computes it, -s + (s - -s) * rng.random()
+    wx, wy = sx - -sx, sy - -sy
+    if not (math.isfinite(wx) and math.isfinite(wy)):
+        raise OverflowError("high - low range exceeds valid bounds")
+    draw = np.random.default_rng(seed).random
     for _ in range(_START_TRIES):
-        px = rng.uniform(-sx, sx)
-        py = rng.uniform(-sy, sy)
+        px = -sx + wx * draw()
+        py = -sy + wy * draw()
         if fam.conic_residual(leaf.outer, px, py) > -1e-6:
             continue
         if leaf.inner is not None and fam.conic_residual(leaf.inner, px, py) < 1e-6:
@@ -349,18 +353,25 @@ def verify_book(
     ``sample_trace``.  Returns (sample, first divergent reflection index)
     failures, (sample, number of reflections read) for a trace that ended
     short, or (sample, 0) when no start was found; an empty list means every
-    sample matched.  Raises ValueError for a negative sample count."""
+    sample matched.  Raises ValueError for a negative sample count and
+    InvalidGame for a game ``validate_game`` refuses.  Each reflection is
+    checked by membership in the book's boundary values ``_same`` as the
+    game's ellipse (a reflection is always on one of them)."""
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    n = game.n
+    violations = validate_game(game)
+    if violations:
+        raise InvalidGame(violations)
+    walls = {e for lf in book.leaves for e in lf.boundary_params()}
+    same = {beta: {e for e in walls if _same(e, beta)} for beta in set(game.betas)}
     want = [
-        (beta, EventSide.FROM_INSIDE if sig == 1 else EventSide.FROM_OUTSIDE)
+        (same[beta], EventSide.FROM_INSIDE if sig == 1 else EventSide.FROM_OUTSIDE)
         for beta, sig in zip(game.betas, game.signature)
-    ]
+    ] * _VERIFY_CYCLES
     (e_lo, e_hi), (h_lo, h_hi) = admissible_caustic_range(game)
     rng = np.random.default_rng(seed)
     failures: list[tuple[int, int]] = []
-    need = _VERIFY_CYCLES * n
+    need = len(want)
     for i in range(samples):
         # alternate hyperbolic and elliptic caustics, keeping clear of the
         # critical endpoints
@@ -378,9 +389,8 @@ def verify_book(
         if len(trace) < need:
             failures.append((i, len(trace)))
             continue
-        for j in range(need):
-            beta, side = want[j % n]
-            if not _same(trace[j][0], beta) or trace[j][1] is not side:
+        for j, ((e, side), (ellipses, want_side)) in enumerate(zip(trace, want)):
+            if side is not want_side or e not in ellipses:
                 failures.append((i, j))
                 break
     return failures

@@ -33,6 +33,7 @@ from billiard_books.dynamics import (
     DynamicsError,
     EscapedLeaf,
     TangentialHit,
+    Trajectory,
     TrajectoryEvent,
     flow,
     time_reversed_start,
@@ -524,3 +525,52 @@ def test_csv_and_record_contract(books):
     for record, name in ((traj.final, "x"), (traj.events[0], "leaf_after")):
         with pytest.raises(AttributeError):
             setattr(record, name, 0)
+
+
+def reference_csv(traj):
+    """``trajectory_csv`` as one list comprehension, every velocity printed."""
+    rows = [",".join(CSV_HEADER)]
+    rows += [
+        f"{i},{before},{after},{e!r},{rule._value_},{side._value_},{x!r},{y!r},{vx!r},{vy!r}"
+        for i, (x, y, e, side, rule, before, after, vx, vy) in enumerate(traj.events)
+    ]
+    rows.append("")
+    return "\n".join(rows)
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_csv_matches_the_reference_on_catalog_runs(books, name):
+    rng = rng_for(24)
+    crossings = 0
+    for _ in range(3):
+        traj = simulate(books[name], random_state(books[name], rng), max_events=300)
+        assert trajectory_csv(traj) == reference_csv(traj)
+        crossings += sum(ev.rule is Rule.R3 for ev in traj.events)
+    if name in ("annulus_two_disks", "chain_six"):
+        assert crossings  # rows whose velocity text is reused
+
+
+def test_csv_reprints_equal_velocities_held_by_other_objects():
+    """A velocity is reused only when it is the very same two objects as the
+    row before: 0.0 against -0.0, and equal floats that are other objects
+    (NaN among them), are printed again."""
+    zero, neg = 0.0, -0.0
+    half, other_half = float("0.5"), float("0.5")
+    nan, other_nan = float("nan"), float("nan")
+    assert half is not other_half and zero == neg
+    velocities = [
+        (zero, 1.0), (zero, 1.0), (neg, 1.0), (zero, -1.0), (half, nan), (half, nan),
+        (other_half, nan), (other_half, other_nan), (1.0, neg), (1.0, zero), (1.0, zero),
+    ]
+    events = [
+        TrajectoryEvent(0.1 * i, 0.2, 2.0, EventSide.PASS_THROUGH, Rule.R3, 1, 2, vx, vy)
+        for i, (vx, vy) in enumerate(velocities)
+    ]
+    state = PhaseState(0.0, 0.0, 0.0, 1.0, 1)
+    traj = Trajectory(state, events, state, 4.0, 0.0)
+    text = trajectory_csv(traj)
+    assert text == reference_csv(traj)
+    assert [row.split(",", 8)[8] for row in text.splitlines()[1:]] == [
+        "0.0,1.0", "0.0,1.0", "-0.0,1.0", "0.0,-1.0", "0.5,nan", "0.5,nan",
+        "0.5,nan", "0.5,nan", "1.0,-0.0", "1.0,0.0", "1.0,0.0",
+    ]

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from billiard_books import (
+    BilliardBook,
     ConsecutiveRepeat,
     EventSide,
     InadmissibleCaustic,
     InvalidGame,
+    Leaf,
     OrderedGame,
+    PhaseState,
     RepeatWithOutside,
     admissible_start,
     ConfocalFamily,
@@ -28,6 +31,9 @@ from billiard_books import (
 )
 from billiard_books import dynamics, games
 from billiard_books.cli import main
+from billiard_books.book import _same
+from billiard_books.conics import directions_with_caustic
+from billiard_books.dynamics import TangentialHit
 from billiard_books.games import admissible_caustic_range
 
 
@@ -343,6 +349,27 @@ def test_verify_refuses_negative_sample_counts(family):
         games.verify_book(rep.book, rep.game, rep.start_leaf_id, samples=-1)
 
 
+@pytest.mark.parametrize(
+    "betas, sig, code",
+    [
+        ((), (), "Empty"),
+        ((0.0, 2.0), (1,), "LengthMismatch"),
+        ((0.0, 2.0), (1, 5), "BadSignature"),
+    ],
+)
+def test_verify_refuses_invalid_games_before_drawing(family, monkeypatch, betas, sig, code):
+    # as compile_game and leaf_count_bounds do, and before any start is drawn
+    rep = compile_simple(game(family, (0.0, 2.0), (1, 1)))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a start was drawn for an invalid game")
+
+    monkeypatch.setattr(games, "admissible_start", no_draw)
+    with pytest.raises(InvalidGame) as err:
+        games.verify_book(rep.book, game(family, betas, sig), rep.start_leaf_id, samples=2)
+    assert code in codes(err.value.violations)
+
+
 def test_first_reflection_is_on_first_ellipse(family):
     rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
     st = admissible_start(rep.book, rep.start_leaf_id, 6.5, seed=4, game=rep.game)
@@ -453,3 +480,81 @@ def test_verification_steps_only_to_the_last_reflection_read(family, monkeypatch
     ]
     assert len(starts) == 6
     assert len(steps) == sum(last_read) < 6 * (4 * need + 8)
+
+
+# --- the start sampler against a copy of its rng.uniform form -------------------
+
+def reference_start(book, leaf_id, caustic, seed, game=None):
+    """``admissible_start`` drawing each coordinate by ``rng.uniform``."""
+    fam = book.family
+    if game is not None:
+        (e_lo, e_hi), (h_lo, h_hi) = admissible_caustic_range(game)
+        if not (e_lo < caustic < e_hi or h_lo < caustic < h_hi):
+            raise InadmissibleCaustic(
+                f"caustic {caustic} is not an ellipse inside all game ellipses "
+                f"({e_lo}, {e_hi}) nor a hyperbola ({h_lo}, {h_hi})"
+            )
+    leaf = book.leaf(leaf_id)
+    sx = math.sqrt(fam.a - leaf.outer)
+    sy = math.sqrt(fam.b - leaf.outer)
+    rng = np.random.default_rng(seed)
+    for _ in range(games._START_TRIES):
+        px = rng.uniform(-sx, sx)
+        py = rng.uniform(-sy, sy)
+        if fam.conic_residual(leaf.outer, px, py) > -1e-6:
+            continue
+        if leaf.inner is not None and fam.conic_residual(leaf.inner, px, py) < 1e-6:
+            continue
+        for vx, vy in directions_with_caustic(fam, px, py, caustic):
+            state = PhaseState(px, py, vx, vy, leaf_id)
+            if game is None:
+                return state
+            try:
+                _, ev = dynamics.step(book, state)
+            except TangentialHit:
+                continue
+            if ev.is_reflection and _same(ev.ellipse, game.betas[0]):
+                return state
+    return None
+
+
+def start_outcome(sampler, *args):
+    try:
+        return repr(sampler(*args))
+    except Exception as exc:  # noqa: BLE001  any exception must match
+        return f"{type(exc).__name__} {exc}"
+
+
+def test_admissible_start_matches_its_uniform_form(books, family):
+    """Catalog books without a game, compiled books with and without theirs,
+    over many seeds and caustics: the same state, None or exception."""
+    rng = np.random.default_rng(24)
+    probes = [
+        (book, leaf.id, float(rng.uniform(0.0, 9.5)), int(rng.integers(1 << 62)), None)
+        for book in books.values()
+        for leaf in book.leaves
+        for _ in range(3)
+    ]
+    for _ in range(12):
+        rep = compile_simple(random_valid_game(family, rng, int(rng.integers(2, 8))))
+        for _ in range(6):
+            leaf = rep.book.leaves[int(rng.integers(len(rep.book.leaves)))].id
+            use = rep.game if rng.random() < 0.7 else None
+            caustic = float(rng.uniform(max(rep.game.betas) - 0.5, 9.0))
+            probes.append((rep.book, leaf, caustic, int(rng.integers(1 << 62)), use))
+    seen = set()
+    for args in probes:
+        got = start_outcome(admissible_start, *args)
+        assert got == start_outcome(reference_start, *args), args[1:]
+        seen.add(got.split("(")[0].split(" ")[0])
+    assert seen == {"PhaseState", "None", "InadmissibleCaustic"}
+
+
+@pytest.mark.parametrize("outer", [-math.inf, math.nan, 10.0])
+def test_admissible_start_refuses_a_range_as_uniform_does(family, outer):
+    # an unbounded or NaN range is refused as rng.uniform refuses it, and a
+    # leaf outside the family as math.sqrt refuses it
+    book = BilliardBook(family, (Leaf(1, outer),))
+    got = start_outcome(admissible_start, book, 1, 6.0, 0)
+    assert got == start_outcome(reference_start, book, 1, 6.0, 0)
+    assert got.split(" ")[0] == ("ValueError" if outer == 10.0 else "OverflowError")
