@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Iterable
@@ -42,6 +42,18 @@ class SchemaError(BookError):
 class Side(Enum):
     WITHIN = "Within"
     OUTSIDE = "Outside"
+
+
+class Rule(Enum):
+    R1 = "R1"  # plain wall reflection, same leaf
+    R2 = "R2"  # reflection onto the image leaf (same side)
+    R3 = "R3"  # straight crossing onto the image leaf (opposite sides)
+
+
+class EventSide(Enum):
+    FROM_INSIDE = "FromInside"
+    FROM_OUTSIDE = "FromOutside"
+    PASS_THROUGH = "PassThrough"
 
 
 @dataclass(frozen=True)
@@ -148,18 +160,15 @@ class GluingPermutation:
 
 @dataclass(frozen=True)
 class BilliardBook:
+    """Leaves glued along ellipses; each table of it is a cached property."""
+
     family: ConfocalFamily
     leaves: tuple[Leaf, ...]
     gluings: tuple[GluingPermutation, ...] = ()
-    _by_id: dict[int, Leaf] = field(init=False, repr=False, compare=False, hash=False)
-    # (leaf id, boundary parameter) -> dynamics.transition's answer, filled
-    # one key at a time by transition
-    _transitions: dict[tuple[int, float], tuple] = field(
-        default_factory=dict, init=False, repr=False, compare=False, hash=False
-    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_id", {lf.id: lf for lf in self.leaves})
+    @cached_property
+    def _by_id(self) -> dict[int, Leaf]:
+        return {lf.id: lf for lf in self.leaves}
 
     def leaf(self, leaf_id: int) -> Leaf:
         return self._by_id[leaf_id]
@@ -187,11 +196,43 @@ class BilliardBook:
         return tuple(sorted(vals))
 
     @cached_property
-    def _walls(self) -> dict[int, tuple[tuple[float, float, float], ...]]:
-        """Leaf id -> (e, a - e, b - e) for each of its boundary parameters
-        e, the table the event kernel reads."""
+    def _walls(self) -> dict[int, tuple[tuple, ...]]:
+        """Leaf id -> one wall (e, a - e, b - e, rule, event side, leaf
+        after) per boundary parameter e of the leaf, with ``transition``'s
+        answer there: the table the event kernel and the vertex map read."""
         a, b = self.family.a, self.family.b
-        return {lf.id: tuple((e, a - e, b - e) for e in lf.boundary_params()) for lf in self.leaves}
+        return {lf.id: tuple((e, a - e, b - e, *transition(self, lf.id, e))
+                             for e in lf.boundary_params()) for lf in self.leaves}
+
+
+def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, EventSide, int]:
+    """The rule a particle on ``leaf_id`` meets at one of its boundary
+    ellipses: (rule, event side, leaf after).
+
+    R1 when the ellipse is unglued there or the gluing fixes the leaf, R2
+    when the image leaf sits on the same side of the ellipse, R3 (a
+    pass-through) when it sits on the opposite side.  It is the only place
+    a gluing decides a rule, and it keeps no state: ``BilliardBook._walls``
+    holds its answer at every leaf boundary.  A missing image leaf raises
+    KeyError, an ellipse off the leaf or its image NotABoundary.
+    """
+    side_here = boundary_side(book.leaf(leaf_id), ellipse)
+    side = EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE
+    gluing = book.gluing_for(ellipse)
+    image = leaf_id if gluing is None else gluing.image(leaf_id)
+    if image == leaf_id:
+        return Rule.R1, side, leaf_id
+    if boundary_side(book.leaf(image), ellipse) is side_here:
+        return Rule.R2, side, image
+    return Rule.R3, EventSide.PASS_THROUGH, image
+
+
+def _known_leaf(book: BilliardBook, leaf_id: int) -> Leaf:
+    """The book's leaf ``leaf_id``; BookError when it has none."""
+    leaf = book._by_id.get(leaf_id)
+    if leaf is None:
+        raise BookError(f"the book has no leaf {leaf_id}")
+    return leaf
 
 
 def make_book(

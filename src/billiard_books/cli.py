@@ -16,7 +16,7 @@ import math
 import sys
 
 from .book import _NUMBER, BilliardBook, BookError, SchemaError, _family, _is, _object
-from .book import load_book, save_book, validate_book
+from .book import _known_leaf, load_book, save_book, validate_book
 from .conics import directions_with_caustic  # noqa: F401  hooked by perfbench/spans.py
 from .dynamics import (
     DynamicsError,
@@ -61,9 +61,7 @@ def _load_valid_book(path: str) -> BilliardBook:
 def _leaf_or_smallest(book: BilliardBook, leaf_id: int | None) -> int:
     if leaf_id is None:
         return min(lf.id for lf in book.leaves)
-    if all(lf.id != leaf_id for lf in book.leaves):
-        raise BookError(f"the book has no leaf {leaf_id}")
-    return leaf_id
+    return _known_leaf(book, leaf_id).id
 
 
 def _load_valid_game(path: str) -> OrderedGame:

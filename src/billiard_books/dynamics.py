@@ -12,11 +12,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .book import BilliardBook, BookError, Side, boundary_side, invert_gluings
+from .book import BilliardBook, BookError, EventSide, Rule, Side, boundary_side
+from .book import invert_gluings, transition
 from .conics import (
     ON_CONIC_TOL,
     T_MIN,
@@ -57,18 +57,6 @@ class EscapedLeaf(DynamicsError):
     pass
 
 
-class Rule(Enum):
-    R1 = "R1"  # plain wall reflection, same leaf
-    R2 = "R2"  # reflection onto the image leaf (same side)
-    R3 = "R3"  # straight crossing onto the image leaf (opposite sides)
-
-
-class EventSide(Enum):
-    FROM_INSIDE = "FromInside"
-    FROM_OUTSIDE = "FromOutside"
-    PASS_THROUGH = "PassThrough"
-
-
 STATUS_OK = "ok"
 STATUS_SINGULAR = "SingularLevelHit"
 
@@ -105,33 +93,6 @@ class Trajectory:
     caustic: float
     caustic_drift: float
     status: str = STATUS_OK
-
-
-def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, EventSide, int]:
-    """The rule a particle on ``leaf_id`` meets at one of its boundary
-    ellipses: (rule, event side, leaf after).
-
-    R1 when the ellipse is unglued there or the gluing fixes the leaf, R2
-    when the image leaf sits on the same side of the ellipse, R3 (a
-    pass-through) when it sits on the opposite side.  This is the only
-    place a gluing is read to decide the rule or to walk a gluing chain
-    (``glued_return_leaf``); each answer is kept in the book's table, so a
-    bad gluing raises every time it is met.
-    """
-    known = book._transitions.get((leaf_id, ellipse))
-    if known is None:
-        side_here = boundary_side(book.leaf(leaf_id), ellipse)
-        side = EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE
-        gluing = book.gluing_for(ellipse)
-        image = leaf_id if gluing is None else gluing.image(leaf_id)
-        if image == leaf_id:
-            known = Rule.R1, side, leaf_id
-        elif boundary_side(book.leaf(image), ellipse) is side_here:
-            known = Rule.R2, side, image
-        else:
-            known = Rule.R3, EventSide.PASS_THROUGH, image
-        book._transitions[leaf_id, ellipse] = known
-    return known
 
 
 def glued_return_leaf(
@@ -174,25 +135,25 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
 
     It computes inline, in the same order, what ``ray_intersections``,
     ``ray_conic_coefficients``, ``project_to_conic`` and ``reflect`` do, on
-    the leaf's walls (e, a - e, b - e) from the book's table, so every float
-    is theirs.  Nothing else is done per event: state, nearest hit and the
-    globals read are locals; no assignment names over three targets, so none
-    builds a tuple; a wall's roots are t1 then t2 (NaN when absent); a unit
-    speed crossing keeps its velocity floats; ``tuple.__new__`` makes events.
+    the leaf's walls from the book's table (each with its rule), so every
+    float is theirs.  Nothing else is done per event: state, nearest hit and
+    the globals read are locals; no assignment names over three targets, so
+    none builds a tuple; a wall's roots are t1 then t2 (NaN when absent); a
+    unit speed crossing keeps its velocity floats; ``tuple.__new__`` makes events.
     """
     sqrt, hypot, t_min, tie_tol, on_tol = math.sqrt, math.hypot, T_MIN, TIE_TOL, ON_CONIC_TOL
     r3, event, new = Rule.R3, TrajectoryEvent, tuple.__new__
     x, y, vx, vy, leaf_id = state
-    walls_of, known_rule, nan = book._walls, book._transitions.get, math.nan
+    walls_of, nan = book._walls, math.nan
     # |B^2 - AC| below this is a tangential hit; it scales as a^3, as the
     # discriminant does (1e-9 * a at a = 9), so a scaled book grazes alike
     graze_tol = 1e-9 * book.family.a * (book.family.a / 9.0) ** 2
     while True:
         vxx, vyy, xvx = vx * vx, vy * vy, x * vx
         yvy, xx, yy = y * vy, x * x, y * y
-        bt = None  # the nearest hit: t, its wall (e, a - e, b - e), grazing
+        bt = None  # the nearest hit: t, its wall, grazing
         for wall in walls_of[leaf_id]:
-            e, da, db = wall
+            e, da, db, _, _, _ = wall
             # A t^2 + 2 B t + C = 0 for the ray against C_e
             A = vxx * db + vyy * da
             B = xvx * db + yvy * da
@@ -227,7 +188,7 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
                     bt, bw, bg = t2, wall, grazing
         if bt is None:
             raise EscapedLeaf(f"ray from ({x:.6g}, {y:.6g}) on leaf {leaf_id} hits no boundary")
-        be, bda, bdb = bw
+        be, bda, bdb, rule, event_side, leaf_after = bw
         hx = x + bt * vx
         hy = y + bt * vy
         if bg:
@@ -238,8 +199,6 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
             s = 1.0 / sqrt(q)
             hx, hy = hx * s, hy * s
 
-        known = known_rule((leaf_id, be))
-        rule, event_side, leaf_after = known if known is not None else transition(book, leaf_id, be)
         if rule is r3:
             n = hypot(vx, vy)
             if n != 1.0:  # v / 1.0 is v: keep the same float objects

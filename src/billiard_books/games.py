@@ -23,6 +23,7 @@ from .book import (
     GluingPermutation,
     Leaf,
     Violation,
+    _known_leaf,
     _same,
 )
 from .conics import ConfocalFamily, directions_with_caustic
@@ -74,6 +75,12 @@ def _repeats(betas: tuple[float, ...]) -> list[tuple[int, int]]:
     return [(k, (k + 1) % n) for k in range(n) if _same(betas[k], betas[(k + 1) % n])]
 
 
+def _refuse_repeats(game: OrderedGame) -> None:
+    """Raise ConsecutiveRepeat at the first repeat ``_repeats`` finds."""
+    for k, j in _repeats(game.betas):
+        raise ConsecutiveRepeat(f"positions {k} and {j} use the same ellipse")
+
+
 def validate_game(game: OrderedGame) -> list[Violation]:
     """All rule violations; empty list means the game is playable."""
     out: list[Violation] = []
@@ -81,13 +88,8 @@ def validate_game(game: OrderedGame) -> list[Violation]:
     if n == 0:
         return [Violation("Empty", "game has no reflections")]
     if len(game.signature) != n:
-        out.append(
-            Violation(
-                "LengthMismatch",
-                f"{n} ellipses but {len(game.signature)} signature entries",
-            )
-        )
-        return out
+        msg = f"{n} ellipses but {len(game.signature)} signature entries"
+        return [Violation("LengthMismatch", msg)]
     for k, (beta, sig) in enumerate(zip(game.betas, game.signature)):
         if sig not in (-1, 1):
             out.append(Violation("BadSignature", f"signature[{k}] = {sig}"))
@@ -245,10 +247,7 @@ def compile_game(game: OrderedGame) -> CompileReport:
 def compile_simple(game: OrderedGame) -> CompileReport:
     """Repeat-free compilation; rejects games with equal consecutive
     ellipses (use compile_game for those)."""
-    repeats = _repeats(game.betas)
-    if repeats:
-        k, j = repeats[0]
-        raise ConsecutiveRepeat(f"positions {k} and {j} use the same ellipse")
+    _refuse_repeats(game)
     return compile_game(game)
 
 
@@ -257,10 +256,7 @@ def leaf_count_bounds(game: OrderedGame) -> tuple[int, int, int]:
     ellipses nested inside both cyclic neighbours.  Repeat-free valid games
     only: raises ConsecutiveRepeat, then InvalidGame.  A one-reflection game
     compiles to one leaf: (1, 1, 0)."""
-    repeats = _repeats(game.betas)
-    if repeats:
-        k, j = repeats[0]
-        raise ConsecutiveRepeat(f"positions {k} and {j} coincide")
+    _refuse_repeats(game)
     violations = validate_game(game)
     if violations:
         raise InvalidGame(violations)
@@ -291,6 +287,7 @@ def admissible_start(
 
     With a game, the caustic must lie in its admissible range, and the
     state's first event must be a reflection on the game's first ellipse.
+    A leaf the book does not have raises BookError.
     """
     fam = book.family
     if game is not None:
@@ -300,7 +297,7 @@ def admissible_start(
                 f"caustic {caustic} is not an ellipse inside all game ellipses "
                 f"({e_lo}, {e_hi}) nor a hyperbola ({h_lo}, {h_hi})"
             )
-    leaf = book.leaf(leaf_id)
+    leaf = _known_leaf(book, leaf_id)
     sx = math.sqrt(fam.a - leaf.outer)
     sy = math.sqrt(fam.b - leaf.outer)
     # rng.uniform(-s, s) as numpy computes it, -s + (s - -s) * rng.random()
@@ -353,15 +350,17 @@ def verify_book(
     ``sample_trace``.  Returns (sample, first divergent reflection index)
     failures, (sample, number of reflections read) for a trace that ended
     short, or (sample, 0) when no start was found; an empty list means every
-    sample matched.  Raises ValueError for a negative sample count and
-    InvalidGame for a game ``validate_game`` refuses.  Each reflection is
-    checked by membership in the book's boundary values ``_same`` as the
-    game's ellipse (a reflection is always on one of them)."""
+    sample matched.  Raises ValueError for a negative sample count,
+    InvalidGame for a game ``validate_game`` refuses and BookError for a
+    start leaf the book does not have.  Each reflection is checked by
+    membership in the book's boundary values ``_same`` as the game's
+    ellipse (a reflection is always on one of them)."""
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     violations = validate_game(game)
     if violations:
         raise InvalidGame(violations)
+    _known_leaf(book, start_leaf)
     walls = {e for lf in book.leaves for e in lf.boundary_params()}
     same = {beta: {e for e in walls if _same(e, beta)} for beta in set(game.betas)}
     want = [

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 from .book import BilliardBook, Side, _same, _walk_cycles, boundary_side
 from .conics import inward_normal
 from .conics import directions_with_caustic, winding_sign  # noqa: F401  perfbench hooks them here
-from .dynamics import EventSide, PhaseState, Rule, glued_return_leaf, step, transition
+from .dynamics import EventSide, PhaseState, Rule, glued_return_leaf, step
 
 # atom type -> (critical circles, edges, separatrices)
 ATOMS = {"A": (1, 1, 0), "B": (1, 3, 2), "C2": (2, 4, 4)}
@@ -126,8 +126,7 @@ def _vertex_table(book: BilliardBook) -> tuple[list, list]:
     seeds: list[tuple[tuple, float]] = []
     rows: list[tuple] = []
     for lf in book.leaves:
-        for e in lf.boundary_params():
-            rule, side, image = transition(book, lf.id, e)
+        for e, _, _, rule, side, image in book._walls[lf.id]:
             leaf = book.leaf(image)
             from_hole = boundary_side(leaf, e) is Side.OUTSIDE
             reach = math.inf if from_hole or leaf.inner is None else leaf.inner

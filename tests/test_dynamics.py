@@ -24,6 +24,7 @@ from billiard_books import (
     trace_to_game,
     trajectory_csv,
 )
+from billiard_books.book import NotABoundary, validate_book
 from billiard_books.catalog import CATALOG
 from billiard_books.conics import directions_with_caustic
 from billiard_books.dynamics import (
@@ -338,16 +339,14 @@ def test_simulate_is_a_prefix_of_the_flow(books, start, m, more):
         assert traj.initial == state
         assert traj.final == (post_state(traj.events[-1]) if traj.events else state)
         assert (traj.status == STATUS_SINGULAR) == (len(traj.events) < cap)
-    # the book's table holds, at every key it learned, the answer transition
-    # gives on a fresh copy of the book (whose table is empty)
+    # the book's table holds, at every leaf, that leaf's walls (e, a - e,
+    # b - e) with the answer transition gives there on a fresh copy of the book
     fresh = BilliardBook(book.family, book.leaves, book.gluings)
-    for (leaf_id, e), entry in book._transitions.items():
-        assert e in book.leaf(leaf_id).boundary_params()
-        assert entry == transition(fresh, leaf_id, e)
-    # and, at every leaf it learned, that leaf's walls (e, a - e, b - e)
     a, b = fresh.family.a, fresh.family.b
+    assert list(book._walls) == [lf.id for lf in book.leaves]
     for leaf_id, walls in book._walls.items():
-        assert walls == tuple((e, a - e, b - e) for e in fresh.leaf(leaf_id).boundary_params())
+        assert walls == tuple((e, a - e, b - e, *transition(fresh, leaf_id, e))
+                              for e in fresh.leaf(leaf_id).boundary_params())
     outside = PhaseState(100.0, 0.0, 1.0, 0.0, book.leaves[0].id)
     with pytest.raises(EscapedLeaf):
         simulate(book, outside, max_events=0)
@@ -445,6 +444,32 @@ def test_flow_refuses_an_unknown_leaf():
         simulate(CATALOG["chain_six"](), state, 5)
     with pytest.raises(EscapedLeaf):
         flow(CATALOG["chain_six"](), state)
+
+
+# two books that validate_book refuses, each with a wall whose transition
+# raises on a leaf the start on disk 4 never leaves
+BAD_WALL_BOOKS = {
+    "gluing onto a missing leaf": (
+        (annulus(3, 0.0, 1.6), disk(4, 2.4)), (GluingPermutation(1.6, {3: 9, 9: 3}),), KeyError
+    ),
+    "NaN disk": ((disk(5, NAN), disk(4, 2.4)), (), NotABoundary),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_WALL_BOOKS))
+def test_a_bad_wall_raises_before_the_first_event(family, name):
+    """The book's wall table holds every transition, so a transition that
+    raises does so when the table is built, before any event."""
+    leaves, gluings, error = BAD_WALL_BOOKS[name]
+    book = BilliardBook(family, leaves, gluings)
+    assert validate_book(book)
+    state = PhaseState(0.1, 0.2, 0.6, 0.8, 4)
+    with pytest.raises(error):
+        step(book, state)
+    with pytest.raises(error):
+        simulate(book, state, 5)
+    with pytest.raises(error):
+        next(flow(book, state))
 
 
 @pytest.mark.parametrize("bad", [NAN, INF, -INF])

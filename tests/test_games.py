@@ -31,7 +31,7 @@ from billiard_books import (
 )
 from billiard_books import dynamics, games
 from billiard_books.cli import main
-from billiard_books.book import _same
+from billiard_books.book import BookError, _same
 from billiard_books.conics import directions_with_caustic
 from billiard_books.dynamics import TangentialHit
 from billiard_books.games import admissible_caustic_range
@@ -142,6 +142,13 @@ def test_compile_triple(family):
 def test_compile_rejects_repeats(family):
     with pytest.raises(ConsecutiveRepeat):
         compile_simple(game(family, (0.0, 2.0, 2.0), (1, 1, 1)))
+
+
+@pytest.mark.parametrize("refuse", [compile_simple, leaf_count_bounds])
+def test_repeats_are_refused_with_one_message(family, refuse):
+    # the cyclic repeat (2, 0) is found after (1, 2)
+    with pytest.raises(ConsecutiveRepeat, match=r"^positions 1 and 2 use the same ellipse$"):
+        refuse(game(family, (0.0, 2.0, 2.0, 0.0), (1, 1, 1, 1)))
 
 
 def test_compile_general_run_one_sided(family):
@@ -368,6 +375,27 @@ def test_verify_refuses_invalid_games_before_drawing(family, monkeypatch, betas,
     with pytest.raises(InvalidGame) as err:
         games.verify_book(rep.book, game(family, betas, sig), rep.start_leaf_id, samples=2)
     assert code in codes(err.value.violations)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rep: admissible_start(rep.book, 99, 6.5, seed=4, game=rep.game),
+        lambda rep: games.verify_book(rep.book, rep.game, 99, samples=2),
+        lambda rep: verify_realization(replace(rep, start_leaf_id=99), samples=2),
+    ],
+    ids=["admissible_start", "verify_book", "verify_realization"],
+)
+def test_an_unknown_start_leaf_is_refused_by_name(family, monkeypatch, call):
+    # with the CLI's message, and before any start or caustic is drawn
+    rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random generator was made for an unknown leaf")
+
+    monkeypatch.setattr(games.np.random, "default_rng", no_draw)
+    with pytest.raises(BookError, match=r"^the book has no leaf 99$"):
+        call(rep)
 
 
 def test_first_reflection_is_on_first_ellipse(family):

@@ -101,14 +101,14 @@ def test_enumerate_regimes_refuses_endless_crossings(books, monkeypatch):
     book = books["annulus_two_disks"]
     real = topology._vertex_table
     seeds, _ = real(book)
-
-    def crossing(book_, leaf_id, ellipse):
-        return Rule.R3, EventSide.PASS_THROUGH, leaf_id
-
-    monkeypatch.setattr(topology, "transition", crossing)
+    crossing = BilliardBook(book.family, book.leaves, book.gluings)
+    vars(crossing)["_walls"] = {  # its wall table, with every rule a crossing
+        leaf_id: tuple((*wall[:3], Rule.R3, EventSide.PASS_THROUGH, leaf_id) for wall in walls)
+        for leaf_id, walls in book._walls.items()
+    }
     monkeypatch.setattr(topology, "_vertex_table", lambda book_: (seeds, real(book_)[1]))
     with pytest.raises(TopologyError, match=r"lam=1\.0 met no reflection"):
-        enumerate_regimes(book, 1.0)
+        enumerate_regimes(crossing, 1.0)
 
 
 def test_enumerate_regimes_refuses_tangential_transfer(books, monkeypatch):

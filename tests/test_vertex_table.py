@@ -18,10 +18,13 @@ from billiard_books import (
     compile_simple,
     critical_levels,
     enumerate_regimes,
+    simulate,
+    verify_realization,
 )
 from billiard_books.catalog import CATALOG
 
 from _vertex_reference import reference_circles, reference_regimes
+from conftest import random_state
 from test_games import random_valid_game
 from test_topology import random_glued_book
 
@@ -50,17 +53,23 @@ def _state(book) -> dict:
 
 
 def test_graph_and_regimes_leave_no_state_on_the_book(family):
-    # only the book's transition table may grow; a per-book cache of the
-    # vertex table, the regimes or the graph would show here
+    # the book keeps its three fields and its own cached tables, nothing
+    # else; a per-book cache of the vertex table, the regimes, the graph or
+    # a flow would show here
     rng = np.random.default_rng(4)
-    books = [make() for make in CATALOG.values()]
-    books += [compile_simple(random_valid_game(family, rng, n)).book for n in (4, 8, 12)]
-    for book in books:
-        critical_levels(book)  # fills the book's own cached boundary list
+    cases = [(make(), None) for make in CATALOG.values()]
+    for n in (4, 8, 12):
+        rep = compile_simple(random_valid_game(family, rng, n))
+        cases.append((rep.book, rep))
+    for book, rep in cases:
+        simulate(book, random_state(book, rng), 50)  # fills the book's own tables
         before = _state(book)
         build_fomenko_graph(book)
         levels = critical_levels(book)
         enumerate_regimes(book, (levels[0] + levels[1]) / 2)
-        after = _state(book)
-        del before["_transitions"], after["_transitions"]
-        assert after == before, book
+        if rep is not None:
+            verify_realization(rep, samples=2)
+        assert _state(book) == before, book
+        assert set(vars(book)) == {
+            "family", "leaves", "gluings", "_by_id", "boundary_values", "_walls"
+        }, book
