@@ -29,12 +29,11 @@ from .dynamics import (
 from .games import (
     ConsecutiveRepeat,
     GameError,
-    InvalidGame,
     OrderedGame,
+    _refuse_invalid,
     admissible_start,
     compile_simple,
     normalize_game,
-    validate_game,
     verify_book,
 )
 from .games import compile_game as compile_general  # the name perfbench/spans.py hooks
@@ -76,9 +75,7 @@ def _load_valid_game(path: str) -> OrderedGame:
     if not isinstance(sig, list) or not all(_is(s, _NUMBER) and s in (1, -1) for s in sig):
         raise SchemaError("$.signature: expected an array of 1/-1")
     game = OrderedGame(family, tuple(float(x) for x in betas), tuple(int(s) for s in sig))
-    violations = validate_game(game)
-    if violations:
-        raise InvalidGame(violations)
+    _refuse_invalid(game)
     return game
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .book import BilliardBook, BookError, EventSide, Rule, Side, boundary_side
-from .book import invert_gluings, transition
+from .book import BilliardBook, BookError, EventSide, NotABoundary, Rule, Side, boundary_side
+from .book import _same, invert_gluings
 from .conics import (
     ON_CONIC_TOL,
     T_MIN,
@@ -103,17 +103,22 @@ def glued_return_leaf(
     outside the ellipse.
 
     Returns the exit leaf id, or None when the outer leaf is not glued there
-    (no inner sheet to traverse).  Each link is the leaf after of
-    ``transition``.  This is the combinatorial core of the grazing-limit
-    continuity test.
+    (no inner sheet to traverse).  Each link is the leaf after at that leaf's
+    wall on the ellipse in ``book._walls`` (NotABoundary when it has none):
+    the combinatorial core of the grazing-limit continuity test.
     """
-    cur = transition(book, outer_leaf_id, ellipse_param)[2]
-    if cur == outer_leaf_id:
-        return None
-    for _ in range(len(book.leaves)):
+    walls, cur = book._walls, outer_leaf_id
+    for k in range(len(book.leaves) + 1):
+        for e, _, _, _, _, leaf_after in walls[cur]:
+            if _same(e, ellipse_param):
+                break
+        else:
+            raise NotABoundary(f"{ellipse_param} is not a boundary of leaf {cur}")
+        if k == 0 and leaf_after == outer_leaf_id:
+            return None
+        cur = leaf_after
         if boundary_side(book.leaf(cur), ellipse_param) is Side.OUTSIDE:
             return cur
-        cur = transition(book, cur, ellipse_param)[2]
     raise BookError(f"gluing chain at {ellipse_param} does not exit")  # pragma: no cover
 
 

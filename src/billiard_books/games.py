@@ -12,14 +12,15 @@ holds for repeat-free games.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from dataclasses import dataclass
 from itertools import islice
-
-import numpy as np
 
 from .book import (
     PARAM_TOL,
     BilliardBook,
+    BookError,
     GluingPermutation,
     Leaf,
     Violation,
@@ -138,6 +139,13 @@ def validate_game(game: OrderedGame) -> list[Violation]:
     return out
 
 
+def _refuse_invalid(game: OrderedGame) -> None:
+    """Raise InvalidGame listing ``validate_game``'s violations, if any."""
+    violations = validate_game(game)
+    if violations:
+        raise InvalidGame(violations)
+
+
 def normalize_game(game: OrderedGame) -> tuple[OrderedGame, int]:
     """Cyclic rotation putting the outermost ellipse first with
     betas[0] != betas[-1]; returns (rotated game, shift applied).  A
@@ -145,7 +153,7 @@ def normalize_game(game: OrderedGame) -> tuple[OrderedGame, int]:
     InvalidGame."""
     n = len(game.betas)
     if n == 0:
-        raise InvalidGame(validate_game(game))
+        _refuse_invalid(game)
     if n == 1:
         return game, 0
     bmin = min(game.betas)
@@ -183,16 +191,14 @@ def compile_game(game: OrderedGame) -> CompileReport:
     """
     n = game.n
     if len(game.signature) != n:
-        raise InvalidGame(validate_game(game))
+        _refuse_invalid(game)
     for k, j in _repeats(game.betas):
         if game.signature[k] == -1 or game.signature[j] == -1:
             raise RepeatWithOutside(
                 f"ellipse {game.betas[k]} repeats at positions {k}, {j} "
                 "with an outside reflection"
             )
-    violations = validate_game(game)
-    if violations:
-        raise InvalidGame(violations)
+    _refuse_invalid(game)
     if n == 1:
         lf = Leaf(1, game.betas[0])
         book = BilliardBook(game.family, (lf,))
@@ -257,9 +263,7 @@ def leaf_count_bounds(game: OrderedGame) -> tuple[int, int, int]:
     only: raises ConsecutiveRepeat, then InvalidGame.  A one-reflection game
     compiles to one leaf: (1, 1, 0)."""
     _refuse_repeats(game)
-    violations = validate_game(game)
-    if violations:
-        raise InvalidGame(violations)
+    _refuse_invalid(game)
     n = game.n
     if n == 1:
         return 1, 1, 0
@@ -279,6 +283,15 @@ def admissible_caustic_range(game: OrderedGame) -> tuple[tuple[float, float], ..
     return ((max(game.betas), fam.b), (fam.b, fam.a))
 
 
+def _draws(seed: int):
+    """``random.Random(seed).random``; TypeError for a seed that is not an
+    int, ValueError for a negative one, which Random would fold onto -seed."""
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return random.Random(seed).random
+
+
 def admissible_start(
     book: BilliardBook, leaf_id: int, caustic: float, seed: int, game: OrderedGame | None = None
 ) -> PhaseState | None:
@@ -287,7 +300,8 @@ def admissible_start(
 
     With a game, the caustic must lie in its admissible range, and the
     state's first event must be a reflection on the game's first ellipse.
-    A leaf the book does not have raises BookError.
+    A leaf the book does not have, or whose box is not finite, raises
+    BookError, and a seed that ``_draws`` refuses raises before any draw.
     """
     fam = book.family
     if game is not None:
@@ -300,14 +314,12 @@ def admissible_start(
     leaf = _known_leaf(book, leaf_id)
     sx = math.sqrt(fam.a - leaf.outer)
     sy = math.sqrt(fam.b - leaf.outer)
-    # rng.uniform(-s, s) as numpy computes it, -s + (s - -s) * rng.random()
-    wx, wy = sx - -sx, sy - -sy
-    if not (math.isfinite(wx) and math.isfinite(wy)):
-        raise OverflowError("high - low range exceeds valid bounds")
-    draw = np.random.default_rng(seed).random
+    if not (math.isfinite(sx) and math.isfinite(sy)):
+        raise BookError(f"leaf {leaf_id} has no finite box to draw starts from")
+    draw = _draws(seed)
     for _ in range(_START_TRIES):
-        px = -sx + wx * draw()
-        py = -sy + wy * draw()
+        px = -sx + 2 * sx * draw()
+        py = -sy + 2 * sy * draw()
         if fam.conic_residual(leaf.outer, px, py) > -1e-6:
             continue
         if leaf.inner is not None and fam.conic_residual(leaf.inner, px, py) < 1e-6:
@@ -351,15 +363,14 @@ def verify_book(
     failures, (sample, number of reflections read) for a trace that ended
     short, or (sample, 0) when no start was found; an empty list means every
     sample matched.  Raises ValueError for a negative sample count,
-    InvalidGame for a game ``validate_game`` refuses and BookError for a
-    start leaf the book does not have.  Each reflection is checked by
-    membership in the book's boundary values ``_same`` as the game's
-    ellipse (a reflection is always on one of them)."""
+    InvalidGame for a game ``validate_game`` refuses, BookError for a start
+    leaf the book does not have and, before any draw, what ``_draws`` raises
+    for its seed.  Sample i draws its caustic, then its start's seed.  Each
+    reflection is checked by membership in the book's boundary values
+    ``_same`` as the game's ellipse (a reflection is always on one of them)."""
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    violations = validate_game(game)
-    if violations:
-        raise InvalidGame(violations)
+    _refuse_invalid(game)
     _known_leaf(book, start_leaf)
     walls = {e for lf in book.leaves for e in lf.boundary_params()}
     same = {beta: {e for e in walls if _same(e, beta)} for beta in set(game.betas)}
@@ -367,20 +378,18 @@ def verify_book(
         (same[beta], EventSide.FROM_INSIDE if sig == 1 else EventSide.FROM_OUTSIDE)
         for beta, sig in zip(game.betas, game.signature)
     ] * _VERIFY_CYCLES
-    (e_lo, e_hi), (h_lo, h_hi) = admissible_caustic_range(game)
-    rng = np.random.default_rng(seed)
+    elliptic, hyperbolic = admissible_caustic_range(game)
+    draw = _draws(seed)
     failures: list[tuple[int, int]] = []
     need = len(want)
     for i in range(samples):
         # alternate hyperbolic and elliptic caustics, keeping clear of the
         # critical endpoints
-        if i % 2 == 0:
-            margin = 0.02 * (h_hi - h_lo)
-            caustic = rng.uniform(h_lo + margin, h_hi - margin)
-        else:
-            margin = 0.02 * (e_hi - e_lo)
-            caustic = rng.uniform(e_lo + margin, e_hi - margin)
-        state = admissible_start(book, start_leaf, caustic, int(rng.integers(1 << 62)), game)
+        lo, hi = hyperbolic if i % 2 == 0 else elliptic
+        margin = 0.02 * (hi - lo)
+        lo, hi = lo + margin, hi - margin
+        caustic = lo + (hi - lo) * draw()
+        state = admissible_start(book, start_leaf, caustic, int(draw() * 2**53), game)
         if state is None:
             failures.append((i, 0))
             continue

@@ -15,7 +15,7 @@ from functools import partial
 
 from billiard_books import topology
 from billiard_books.book import Side, _walk_cycles, boundary_side
-from billiard_books.dynamics import EventSide, Rule, transition
+from billiard_books.book import EventSide, Rule, transition
 from billiard_books.topology import CriticalCircle, RegimeDescriptor, RegimeState, TopologyError
 
 

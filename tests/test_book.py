@@ -29,8 +29,8 @@ from billiard_books.book import (
     book_to_dict,
     load_book,
     save_book,
+    transition,
 )
-from billiard_books.dynamics import transition
 
 
 def codes(violations):

@@ -24,7 +24,7 @@ from billiard_books import (
     trace_to_game,
     trajectory_csv,
 )
-from billiard_books.book import NotABoundary, validate_book
+from billiard_books.book import NotABoundary, transition, validate_book
 from billiard_books.catalog import CATALOG
 from billiard_books.conics import directions_with_caustic
 from billiard_books.dynamics import (
@@ -38,7 +38,6 @@ from billiard_books.dynamics import (
     TrajectoryEvent,
     flow,
     time_reversed_start,
-    transition,
 )
 from conftest import random_state, rng_for
 

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -393,9 +394,35 @@ def test_an_unknown_start_leaf_is_refused_by_name(family, monkeypatch, call):
     def no_draw(*args, **kwargs):
         raise AssertionError("a random generator was made for an unknown leaf")
 
-    monkeypatch.setattr(games.np.random, "default_rng", no_draw)
+    monkeypatch.setattr(games, "_draws", no_draw)
     with pytest.raises(BookError, match=r"^the book has no leaf 99$"):
         call(rep)
+
+
+@pytest.mark.parametrize(
+    "seed, error", [(-1, ValueError), (1.5, TypeError), ("3", TypeError)], ids=["-1", "1.5", "'3'"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rep, seed: admissible_start(rep.book, rep.start_leaf_id, 6.5, seed, rep.game),
+        lambda rep, seed: games.verify_book(rep.book, rep.game, rep.start_leaf_id, 2, seed),
+        lambda rep, seed: verify_realization(rep, samples=2, seed=seed),
+    ],
+    ids=["admissible_start", "verify_book", "verify_realization"],
+)
+def test_a_seed_that_is_not_a_non_negative_int_is_refused(family, monkeypatch, call, seed, error):
+    # before anything is drawn; a negative seed is not folded onto its
+    # absolute value, as random.Random(-s) would do
+    rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a start or a point was drawn for a refused seed")
+
+    monkeypatch.setattr(games, "admissible_start", no_draw)  # verify_book's draws
+    monkeypatch.setattr(games, "directions_with_caustic", no_draw)  # admissible_start's
+    with pytest.raises(error):
+        call(rep, seed)
 
 
 def test_first_reflection_is_on_first_ellipse(family):
@@ -510,10 +537,10 @@ def test_verification_steps_only_to_the_last_reflection_read(family, monkeypatch
     assert len(steps) == sum(last_read) < 6 * (4 * need + 8)
 
 
-# --- the start sampler against a copy of its rng.uniform form -------------------
+# --- the start sampler against a copy of its Random.uniform form ---------------
 
 def reference_start(book, leaf_id, caustic, seed, game=None):
-    """``admissible_start`` drawing each coordinate by ``rng.uniform``."""
+    """``admissible_start`` drawing each coordinate by ``Random.uniform``."""
     fam = book.family
     if game is not None:
         (e_lo, e_hi), (h_lo, h_hi) = admissible_caustic_range(game)
@@ -525,7 +552,9 @@ def reference_start(book, leaf_id, caustic, seed, game=None):
     leaf = book.leaf(leaf_id)
     sx = math.sqrt(fam.a - leaf.outer)
     sy = math.sqrt(fam.b - leaf.outer)
-    rng = np.random.default_rng(seed)
+    if not (math.isfinite(sx) and math.isfinite(sy)):
+        raise BookError(f"leaf {leaf_id} has no finite box to draw starts from")
+    rng = random.Random(seed)
     for _ in range(games._START_TRIES):
         px = rng.uniform(-sx, sx)
         py = rng.uniform(-sy, sy)
@@ -580,9 +609,10 @@ def test_admissible_start_matches_its_uniform_form(books, family):
 
 @pytest.mark.parametrize("outer", [-math.inf, math.nan, 10.0])
 def test_admissible_start_refuses_a_range_as_uniform_does(family, outer):
-    # an unbounded or NaN range is refused as rng.uniform refuses it, and a
-    # leaf outside the family as math.sqrt refuses it
+    # an unbounded or NaN box is refused by naming the leaf, before
+    # Random.uniform would draw NaN from it, and a leaf outside the family
+    # as math.sqrt refuses it
     book = BilliardBook(family, (Leaf(1, outer),))
     got = start_outcome(admissible_start, book, 1, 6.0, 0)
     assert got == start_outcome(reference_start, book, 1, 6.0, 0)
-    assert got.split(" ")[0] == ("ValueError" if outer == 10.0 else "OverflowError")
+    assert got.split(" ")[0] == ("ValueError" if outer == 10.0 else "BookError")

@@ -29,6 +29,7 @@ from billiard_books import (
     make_book,
     step,
 )
+from billiard_books.book import transition
 from billiard_books.catalog import CATALOG, FIXTURE_FAMILY
 from billiard_books.conics import (
     T_MIN,
@@ -43,7 +44,6 @@ from billiard_books.dynamics import (
     EventSide,
     TangentialHit,
     TrajectoryEvent,
-    transition,
 )
 
 log = logging.getLogger(__name__)

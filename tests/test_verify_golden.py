@@ -15,7 +15,10 @@ was before the event kernel unrolled its two roots, ``admissible_start`` drew
 its points without ``Generator.uniform`` and ``verify_book`` compared each
 reflection by set membership instead of one ``_same`` call; a change that
 alters any of them changes which starts are drawn or which samples fail, not
-only how fast.
+only how fast.  ``START_GOLDEN`` was recorded again when the sampler moved
+from numpy's generator to ``random.Random``: each kind kept its counts of
+states, None and refusals, and ``VERIFY_GOLDEN`` kept every failure list.
+The corpus and probes below still come from numpy's generator.
 """
 
 import hashlib
@@ -124,11 +127,11 @@ VERIFY_GOLDEN = {
 }
 
 START_GOLDEN = {
-    "pool_5": "f3789c82375099d865f690cb17f1ffec1f6b7ca339ec2b7cfa1a62add64d1fe4",
-    "pool_9": "a0d538d784de6b5f0056cef602b4f0d9162d63c2bc4f7211206eb5ddb20381f4",
-    "permuted": "28bc3f7cb25cdd4ec4befea647ba601a86b7cc5c76ccd41d33fc73d3367d048e",
-    "near": "42f0db5b0659f854863d502ae079251d060c6110b27fc4b5191d2bd926a41311",
-    "catalog": "27ae4f4c9ea614d1cce0c11537c6773f0d301c2fb581d45daaa9cde27ec93c52",
+    "pool_5": "4dceff9e60f6b2e623c96fa7f1e39412208e311d02cb4731e50944e41fa355ba",
+    "pool_9": "496759f2ce6f371c5765b5d06dde95dd25c57f4dea5af51845da3abbaaf96b2a",
+    "permuted": "8c16cc90b633c2fd9e8f6ebb9f864f7e84c9eacf11a4cd553e2f0988f7897db2",
+    "near": "4595a9ba92ff923b85289f6f4eecd2aa59c45ac358daff30fc9defbcd3030b5c",
+    "catalog": "d008677f0ddab290a7878b247acd1fa6dd405af3c6486c0fa1b74f7c55420c38",
 }
 
 
