@@ -19,6 +19,7 @@ from typing import Callable, Iterable
 from .conics import ConfocalFamily
 
 PARAM_TOL = 1e-12  # tolerance when matching leaf boundaries to gluing keys
+TIE_TOL = 1e-9  # two boundary hits closer than this count as a tie
 
 
 def _same(x: float, y: float) -> bool:
@@ -199,10 +200,38 @@ class BilliardBook:
     def _walls(self) -> dict[int, tuple[tuple, ...]]:
         """Leaf id -> one wall (e, a - e, b - e, rule, event side, leaf
         after) per boundary parameter e of the leaf, with ``transition``'s
-        answer there: the table the event kernel and the vertex map read."""
+        answer there: the table the vertex map reads and ``_scan`` extends."""
         a, b = self.family.a, self.family.b
         return {lf.id: tuple((e, a - e, b - e, *transition(self, lf.id, e))
                              for e in lf.boundary_params()) for lf in self.leaves}
+
+    @cached_property
+    def _scan(self) -> dict[int, tuple[tuple, ...]]:
+        """Leaf id -> its walls as the event kernel scans them: each wall of
+        ``_walls`` with the walls of the leaf after that a chord from it can
+        end on, in scan order, and whether a hit on it ends a scan (a hole's
+        does).  In an annulus of the family, a chord leaving the hole outward
+        cannot meet it again, so only the outer wall is listed; one entering
+        from the outer wall meets the hole, if at all, first, so the hole is
+        listed first, unless the two ellipses come within TIE_TOL (at the
+        major axis), where the tie rule must see both.  Any other scan lists
+        every wall of the leaf after, in its order, the hole last."""
+        a, b = self.family.a, self.family.b
+        holes = {lf.id: lf.inner for lf in self.leaves
+                 if lf.inner is not None and -math.inf < lf.outer < lf.inner < b}
+        scan = {leaf_id: tuple((*wall, [], wall[0] == holes.get(leaf_id)) for wall in walls)
+                for leaf_id, walls in self._walls.items()}
+        for walls in scan.values():
+            for e, _, _, _, _, leaf_after, after, _ in walls:
+                o, walls_after = self._by_id[leaf_after].outer, scan[leaf_after]
+                if e == holes.get(leaf_after):
+                    walls_after = walls_after[:1]
+                elif e == o and leaf_after in holes and (
+                    math.sqrt(a - o) - math.sqrt(a - holes[leaf_after]) > TIE_TOL
+                ):
+                    walls_after = walls_after[::-1]
+                after.extend(walls_after)
+        return scan
 
 
 def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, EventSide, int]:

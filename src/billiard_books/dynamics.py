@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .book import BilliardBook, BookError, EventSide, NotABoundary, Rule, Side, boundary_side
-from .book import _same, invert_gluings
+from .book import TIE_TOL, BilliardBook, BookError, EventSide, NotABoundary, Rule, Side
+from .book import _same, boundary_side, invert_gluings
 from .conics import (
     ON_CONIC_TOL,
     T_MIN,
@@ -31,7 +31,6 @@ from .conics import (
 log = logging.getLogger(__name__)
 
 MAX_EVENTS_DEFAULT = 10_000
-TIE_TOL = 1e-9  # two boundary hits closer than this count as a tie
 _CONTAINS_TOL = 1e-9  # conic residual by which a point may lie outside its leaf
 UNIT_SPEED_TOL = 1e-9  # |v| - 1 by which a start velocity may miss unit length
 
@@ -123,33 +122,37 @@ def glued_return_leaf(
 
 
 def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryEvent]:
-    """Advance to the nearest boundary of the current leaf and apply the
-    ``transition`` rule there: the first event of the event kernel.
+    """The event kernel's first event from ``state``, which is not checked,
+    and the state after it: the nearest hit over every wall of the leaf,
+    with the rule of ``BilliardBook._walls`` applied there.
 
-    Raises TangentialHit when the selected hit grazes the boundary (the
-    caller decides whether the flow extends) and EscapedLeaf when the ray
-    finds no boundary at all.
-    """
+    Raises TangentialHit when that hit grazes (the caller decides whether
+    the flow extends), EscapedLeaf when the ray finds no wall, and KeyError
+    for a leaf the book does not have."""
     ev = next(_events(book, state))
     return PhaseState(ev.x, ev.y, ev.vx, ev.vy, ev.leaf_after), ev
 
 
-def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
-    """The event kernel: the events from ``state`` until a hit grazes or
-    none is found, which raise as ``step`` says.
+def _events(book: BilliardBook, state: PhaseState, flowing=False) -> Iterator[TrajectoryEvent]:
+    """The event kernel: the events from ``state`` until no wall is hit
+    (EscapedLeaf) or a hit grazes, which raises TangentialHit as ``step``
+    says or, when ``flowing``, continues or ends the run as ``flow`` says.
 
     It computes inline, in the same order, what ``ray_intersections``,
-    ``ray_conic_coefficients``, ``project_to_conic`` and ``reflect`` do, on
-    the leaf's walls from the book's table (each with its rule), so every
-    float is theirs.  Nothing else is done per event: state, nearest hit and
-    the globals read are locals; no assignment names over three targets, so
-    none builds a tuple; a wall's roots are t1 then t2 (NaN when absent); a
-    unit speed crossing keeps its velocity floats; ``tuple.__new__`` makes events.
+    ``ray_conic_coefficients``, ``project_to_conic`` and ``reflect`` do, so
+    every float is theirs.  The first event, and one after a grazing
+    continuation, scans every wall of the leaf; a later one scans the walls
+    that the last hit wall lists in ``BilliardBook._scan``, which hold the
+    same nearest hit.  Per event, state, nearest hit and globals are locals;
+    no assignment names over three targets, so none builds a tuple; a
+    wall's roots are t1 then t2 (NaN when absent); a unit speed crossing
+    keeps its velocity floats; ``tuple.__new__`` makes events.
     """
     sqrt, hypot, t_min, tie_tol, on_tol = math.sqrt, math.hypot, T_MIN, TIE_TOL, ON_CONIC_TOL
     r3, event, new = Rule.R3, TrajectoryEvent, tuple.__new__
     x, y, vx, vy, leaf_id = state
-    walls_of, nan = book._walls, math.nan
+    walls_of, nan = book._scan, math.nan
+    scan = walls_of[leaf_id]
     # |B^2 - AC| below this is a tangential hit; it scales as a^3, as the
     # discriminant does (1e-9 * a at a = 9), so a scaled book grazes alike
     graze_tol = 1e-9 * book.family.a * (book.family.a / 9.0) ** 2
@@ -157,8 +160,8 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
         vxx, vyy, xvx = vx * vx, vy * vy, x * vx
         yvy, xx, yy = y * vy, x * x, y * y
         bt = None  # the nearest hit: t, its wall, grazing
-        for wall in walls_of[leaf_id]:
-            e, da, db, _, _, _ = wall
+        for wall in scan:
+            e, da, db, _, _, _, _, ends = wall
             # A t^2 + 2 B t + C = 0 for the ray against C_e
             A = vxx * db + vyy * da
             B = xvx * db + yvy * da
@@ -191,13 +194,26 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
                 elif abs(t2 - bt) <= tie_tol and e < bw[0]:
                     log.warning("boundary tie at t=%.3e; taking smaller ellipse %s", t2, e)
                     bt, bw, bg = t2, wall, grazing
+            if ends and bt is not None:
+                break
         if bt is None:
             raise EscapedLeaf(f"ray from ({x:.6g}, {y:.6g}) on leaf {leaf_id} hits no boundary")
-        be, bda, bdb, rule, event_side, leaf_after = bw
+        be, bda, bdb, rule, event_side, leaf_after, scan, _ = bw
         hx = x + bt * vx
         hy = y + bt * vy
         if bg:
-            raise TangentialHit(be, hx, hy, bt, PhaseState(x, y, vx, vy, leaf_id))
+            if not flowing:
+                raise TangentialHit(be, hx, hy, bt, PhaseState(x, y, vx, vy, leaf_id))
+            if be == book.leaf(leaf_id).outer:
+                return  # grazing its own outer wall, the flow would leave the leaf
+            ret = glued_return_leaf(book, be, leaf_id)
+            if ret is not None and ret != leaf_id:
+                return  # a singular level
+            # straight on, recorded as a crossing; the next event scans every wall
+            x, y = project_to_conic(book.family, be, hx, hy)
+            scan = walls_of[leaf_id]
+            yield new(event, (x, y, be, EventSide.PASS_THROUGH, r3, leaf_id, leaf_id, vx, vy))
+            continue
         # radial rescale onto C_e
         q = hx * hx / bda + hy * hy / bdb
         if not q <= 0.0:
@@ -227,19 +243,19 @@ def _events(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
 
 
 def flow(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
-    """The boundary events of the flow from ``state``, one at a time, as
-    the event kernel makes them.
+    """The boundary events of the flow from ``state``: the event kernel's
+    own generator, one event at a time.
 
     The state after an event is (x, y, vx, vy, leaf_after) of that event.  A
-    grazing hit on a glued ellipse continues straight (recorded as a
-    crossing, from the hit's ``state``; the kernel then restarts) when the
-    gluing chain returns to the same leaf; otherwise the flow has reached a
-    singular level and the iterator ends.  A grazing hit on the leaf's own
-    outer ellipse always ends it: straight on, the flow would leave the
-    leaf.  A start with a non-finite coordinate or a velocity off unit
-    length by more than UNIT_SPEED_TOL raises DynamicsError, and a start
-    outside its leaf, or on a leaf the book does not have, raises
-    EscapedLeaf, here, before any event is asked for.
+    grazing hit on a glued ellipse continues straight, recorded as a
+    crossing at the hit projected onto the ellipse, with the velocity and
+    leaf it had, when the gluing chain returns to the same leaf; otherwise
+    the flow has reached a singular level and the iterator ends.  A grazing
+    hit on the leaf's own outer ellipse always ends it: straight on, the
+    flow would leave the leaf.  A start with a non-finite coordinate or a
+    velocity off unit length by more than UNIT_SPEED_TOL raises
+    DynamicsError, and a start outside its leaf, or on a leaf the book does
+    not have, raises EscapedLeaf, here, before any event is asked for.
     """
     x, y, vx, vy, leaf_id = state
     if not all(map(math.isfinite, (x, y, vx, vy))):
@@ -254,26 +270,7 @@ def flow(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
         or leaf.inner is not None and fam.conic_residual(leaf.inner, x, y) < -_CONTAINS_TOL
     ):
         raise EscapedLeaf(f"initial position ({x:.6g}, {y:.6g}) is not in leaf {leaf_id}")
-    return _flow(book, state)
-
-
-def _flow(book: BilliardBook, cur: PhaseState) -> Iterator[TrajectoryEvent]:
-    while True:
-        try:
-            yield from _events(book, cur)
-        except TangentialHit as hit:
-            _, _, vx, vy, leaf_id = hit.state
-            if hit.ellipse == book.leaf(leaf_id).outer:
-                return  # grazing its own outer wall, the flow would leave the leaf
-            ret = glued_return_leaf(book, hit.ellipse, leaf_id)
-            if ret is not None and ret != leaf_id:
-                return
-            hx, hy = project_to_conic(book.family, hit.ellipse, hit.x, hit.y)
-            ev = TrajectoryEvent(
-                hx, hy, hit.ellipse, EventSide.PASS_THROUGH, Rule.R3, leaf_id, leaf_id, vx, vy
-            )
-            cur = PhaseState(hx, hy, vx, vy, leaf_id)
-        yield ev
+    return _events(book, state, True)
 
 
 def simulate(

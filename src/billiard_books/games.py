@@ -300,8 +300,9 @@ def admissible_start(
 
     With a game, the caustic must lie in its admissible range, and the
     state's first event must be a reflection on the game's first ellipse.
-    A leaf the book does not have, or whose box is not finite, raises
-    BookError, and a seed that ``_draws`` refuses raises before any draw.
+    A leaf the book does not have, or whose outer parameter is not an
+    ellipse of the family (not finite, or >= b), raises BookError, and a
+    seed that ``_draws`` refuses raises, each before any draw.
     """
     fam = book.family
     if game is not None:
@@ -312,10 +313,10 @@ def admissible_start(
                 f"({e_lo}, {e_hi}) nor a hyperbola ({h_lo}, {h_hi})"
             )
     leaf = _known_leaf(book, leaf_id)
+    if not -math.inf < leaf.outer < fam.b:  # NaN too
+        raise BookError(f"leaf {leaf_id} has outer {leaf.outer}, not an ellipse of the family")
     sx = math.sqrt(fam.a - leaf.outer)
     sy = math.sqrt(fam.b - leaf.outer)
-    if not (math.isfinite(sx) and math.isfinite(sy)):
-        raise BookError(f"leaf {leaf_id} has no finite box to draw starts from")
     draw = _draws(seed)
     for _ in range(_START_TRIES):
         px = -sx + 2 * sx * draw()

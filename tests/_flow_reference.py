@@ -1,10 +1,12 @@
 """Reference flow: one ``step`` call per event.
 
-``dynamics.flow`` drives the event kernel, which keeps the state from one
-event to the next in locals and is restarted after a grazing continuation.
-The reference below calls ``step`` once per event and handles a grazing hit
-from the state it passed to ``step``, as ``flow`` did before the kernel
-kept its state.  Both must make equal events.
+``dynamics.flow`` is the event kernel's own generator: it keeps the state
+from one event to the next in locals, scans only the walls the book's scan
+table lists after the last hit wall, and continues a grazing hit itself.
+The reference below calls ``step`` once per event, each scanning every wall
+of the leaf, and handles a grazing hit from the state it passed to ``step``,
+as ``flow`` did before the kernel kept its state.  Both must make equal
+events.
 """
 
 from __future__ import annotations

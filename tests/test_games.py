@@ -550,10 +550,10 @@ def reference_start(book, leaf_id, caustic, seed, game=None):
                 f"({e_lo}, {e_hi}) nor a hyperbola ({h_lo}, {h_hi})"
             )
     leaf = book.leaf(leaf_id)
+    if not -math.inf < leaf.outer < fam.b:
+        raise BookError(f"leaf {leaf_id} has outer {leaf.outer}, not an ellipse of the family")
     sx = math.sqrt(fam.a - leaf.outer)
     sy = math.sqrt(fam.b - leaf.outer)
-    if not (math.isfinite(sx) and math.isfinite(sy)):
-        raise BookError(f"leaf {leaf_id} has no finite box to draw starts from")
     rng = random.Random(seed)
     for _ in range(games._START_TRIES):
         px = rng.uniform(-sx, sx)
@@ -607,12 +607,17 @@ def test_admissible_start_matches_its_uniform_form(books, family):
     assert seen == {"PhaseState", "None", "InadmissibleCaustic"}
 
 
-@pytest.mark.parametrize("outer", [-math.inf, math.nan, 10.0])
-def test_admissible_start_refuses_a_range_as_uniform_does(family, outer):
-    # an unbounded or NaN box is refused by naming the leaf, before
-    # Random.uniform would draw NaN from it, and a leaf outside the family
-    # as math.sqrt refuses it
+@pytest.mark.parametrize("outer", [-math.inf, math.nan, 5.0, 10.0])
+def test_admissible_start_refuses_a_range_as_uniform_does(family, outer, monkeypatch):
+    # an outer parameter that is not an ellipse of the family (unbounded,
+    # NaN, or >= b, where math.sqrt would refuse it) is refused by naming
+    # the leaf and the parameter, before anything is drawn
     book = BilliardBook(family, (Leaf(1, outer),))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random generator was made for a leaf outside the family")
+
+    monkeypatch.setattr(games, "_draws", no_draw)
     got = start_outcome(admissible_start, book, 1, 6.0, 0)
     assert got == start_outcome(reference_start, book, 1, 6.0, 0)
-    assert got.split(" ")[0] == ("ValueError" if outer == 10.0 else "BookError")
+    assert got == f"BookError leaf 1 has outer {outer}, not an ellipse of the family"
