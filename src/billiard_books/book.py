@@ -137,8 +137,7 @@ class GluingPermutation:
         mapping: dict[int, int] = {}
         for cyc in cycles:
             cyc = list(cyc)
-            for i, leaf_id in enumerate(cyc):
-                mapping[leaf_id] = cyc[(i + 1) % len(cyc)]
+            mapping.update(zip(cyc, cyc[1:] + cyc[:1]))
         return GluingPermutation(ellipse, mapping)
 
     def image(self, leaf_id: int) -> int:
@@ -200,38 +199,79 @@ class BilliardBook:
     def _walls(self) -> dict[int, tuple[tuple, ...]]:
         """Leaf id -> one wall (e, a - e, b - e, rule, event side, leaf
         after) per boundary parameter e of the leaf, with ``transition``'s
-        answer there: the table the vertex map reads and ``_scan`` extends."""
+        answer there: the table the vertex map reads and ``_scan`` extends.
+        Each boundary value's gluing is looked up once, for all its walls."""
         a, b = self.family.a, self.family.b
-        return {lf.id: tuple((e, a - e, b - e, *transition(self, lf.id, e))
-                             for e in lf.boundary_params()) for lf in self.leaves}
+        gluing_at: dict[float, GluingPermutation | None] = {}
+        walls = {}
+        for lf in self.leaves:
+            here = self._by_id[lf.id]  # transition's leaf: the last one with this id
+            row = []
+            for e in lf.boundary_params():
+                if e in gluing_at:
+                    gluing = gluing_at[e]
+                else:
+                    gluing = gluing_at[e] = self.gluing_for(e)
+                row.append((e, a - e, b - e) + _rule(self, here, e, gluing))
+            walls[lf.id] = tuple(row)
+        return walls
 
     @cached_property
-    def _scan(self) -> dict[int, tuple[tuple, ...]]:
-        """Leaf id -> its walls as the event kernel scans them: each wall of
-        ``_walls`` with the walls of the leaf after that a chord from it can
-        end on, in scan order, and whether a hit on it ends a scan (a hole's
-        does).  In an annulus of the family, a chord leaving the hole outward
-        cannot meet it again, so only the outer wall is listed; one entering
-        from the outer wall meets the hole, if at all, first, so the hole is
-        listed first, unless the two ellipses come within TIE_TOL (at the
-        major axis), where the tie rule must see both.  Any other scan lists
-        every wall of the leaf after, in its order, the hole last."""
+    def _scan(self) -> tuple[dict[int, tuple[tuple, ...]], list[tuple[tuple, ...]]]:
+        """The walls as the event kernel scans them: (leaf id -> its walls,
+        next scans).  Each wall of ``_walls`` gains the index, into the list
+        of next scans, of the walls of the leaf after that a chord from it
+        can end on, in scan order, and whether a hit on it ends a scan (a
+        hole's does).  Walls name their next scan by index, not by holding
+        it, so the table holds no reference cycle and a book is freed by
+        reference counting.  In an annulus of the family, a chord leaving
+        the hole outward cannot meet it again, so only the outer wall is
+        listed; one entering from the outer wall meets the hole, if at all,
+        first, so the hole is listed first, unless the two ellipses come
+        within TIE_TOL (at the major axis), where the tie rule must see
+        both.  Any other scan lists every wall of the leaf after, in its
+        order, the hole last."""
         a, b = self.family.a, self.family.b
-        holes = {lf.id: lf.inner for lf in self.leaves
-                 if lf.inner is not None and -math.inf < lf.outer < lf.inner < b}
-        scan = {leaf_id: tuple((*wall, [], wall[0] == holes.get(leaf_id)) for wall in walls)
-                for leaf_id, walls in self._walls.items()}
-        for walls in scan.values():
-            for e, _, _, _, _, leaf_after, after, _ in walls:
-                o, walls_after = self._by_id[leaf_after].outer, scan[leaf_after]
-                if e == holes.get(leaf_after):
-                    walls_after = walls_after[:1]
-                elif e == o and leaf_after in holes and (
-                    math.sqrt(a - o) - math.sqrt(a - holes[leaf_after]) > TIE_TOL
-                ):
-                    walls_after = walls_after[::-1]
-                after.extend(walls_after)
-        return scan
+        holes = {}
+        for lf in self.leaves:
+            if lf.inner is not None and -math.inf < lf.outer < lf.inner < b:
+                holes[lf.id] = lf.inner
+        first: dict[int, tuple[tuple, ...]] = {}
+        indexed: list[tuple] = []  # each wall, at the index of its next scan
+        for leaf_id, walls in self._walls.items():
+            hole = holes.get(leaf_id)
+            row = []
+            for wall in walls:
+                row.append(wall + (len(indexed), wall[0] == hole))
+                indexed.append(wall)
+            first[leaf_id] = tuple(row)
+        scans = []
+        for e, _, _, _, _, leaf_after in indexed:
+            walls_after = first[leaf_after]
+            hole = holes.get(leaf_after)
+            if e == hole:
+                walls_after = walls_after[:1]
+            elif hole is not None and e == self._by_id[leaf_after].outer and (
+                math.sqrt(a - e) - math.sqrt(a - hole) > TIE_TOL
+            ):
+                walls_after = walls_after[::-1]
+            scans.append(walls_after)
+        return first, scans
+
+
+def _rule(book: BilliardBook, leaf: Leaf, ellipse: float,
+          gluing: GluingPermutation | None) -> tuple[Rule, EventSide, int]:
+    """``transition`` at one of ``leaf``'s boundary ellipses, given the
+    book's gluing there (None when there is none)."""
+    side_here = boundary_side(leaf, ellipse)
+    side = EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE
+    leaf_id = leaf.id
+    image = leaf_id if gluing is None else gluing.image(leaf_id)
+    if image == leaf_id:
+        return Rule.R1, side, leaf_id
+    if boundary_side(book.leaf(image), ellipse) is side_here:
+        return Rule.R2, side, image
+    return Rule.R3, EventSide.PASS_THROUGH, image
 
 
 def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, EventSide, int]:
@@ -241,19 +281,12 @@ def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, 
     R1 when the ellipse is unglued there or the gluing fixes the leaf, R2
     when the image leaf sits on the same side of the ellipse, R3 (a
     pass-through) when it sits on the opposite side.  It is the only place
-    a gluing decides a rule, and it keeps no state: ``BilliardBook._walls``
-    holds its answer at every leaf boundary.  A missing image leaf raises
-    KeyError, an ellipse off the leaf or its image NotABoundary.
+    a gluing decides a rule (through ``_rule``, which the wall table shares),
+    and it keeps no state: ``BilliardBook._walls`` holds its answer at every
+    leaf boundary.  A missing image leaf raises KeyError, an ellipse off the
+    leaf or its image NotABoundary.
     """
-    side_here = boundary_side(book.leaf(leaf_id), ellipse)
-    side = EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE
-    gluing = book.gluing_for(ellipse)
-    image = leaf_id if gluing is None else gluing.image(leaf_id)
-    if image == leaf_id:
-        return Rule.R1, side, leaf_id
-    if boundary_side(book.leaf(image), ellipse) is side_here:
-        return Rule.R2, side, image
-    return Rule.R3, EventSide.PASS_THROUGH, image
+    return _rule(book, book.leaf(leaf_id), ellipse, book.gluing_for(ellipse))
 
 
 def _known_leaf(book: BilliardBook, leaf_id: int) -> Leaf:

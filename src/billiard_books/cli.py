@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from .book import _NUMBER, BilliardBook, BookError, SchemaError, _family, _is, _object
@@ -31,6 +32,7 @@ from .games import (
     GameError,
     OrderedGame,
     _refuse_invalid,
+    _refuse_other_family,
     admissible_start,
     compile_simple,
     normalize_game,
@@ -137,8 +139,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     book = _load_valid_book(args.book)
     game = _load_valid_game(args.game)
     start_leaf = _leaf_or_smallest(book, args.start_leaf)
-    if game.family != book.family:
-        raise ValueError(f"the game's family {game.family} is not the book's {book.family}")
+    _refuse_other_family(book, game)
     if args.samples == 0:
         print("warning: zero samples requested; verification is vacuous", file=sys.stderr)
         print("samples=0 mismatches=0")
@@ -175,6 +176,12 @@ def _parse_pair(text: str) -> tuple[float, float]:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse takes "-" then a digit for a value only in a plain decimal
+        # such as -2.5; no option here starts so, so -1,0 and -1e-3 are values too
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         # for main to report; the parent parser would report an ArgumentError again
         raise argparse.ArgumentTypeError(f"{self.format_usage()}{self.prog}: error: {message}")

@@ -142,17 +142,17 @@ def _events(book: BilliardBook, state: PhaseState, flowing=False) -> Iterator[Tr
     ``ray_conic_coefficients``, ``project_to_conic`` and ``reflect`` do, so
     every float is theirs.  The first event, and one after a grazing
     continuation, scans every wall of the leaf; a later one scans the walls
-    that the last hit wall lists in ``BilliardBook._scan``, which hold the
-    same nearest hit.  Per event, state, nearest hit and globals are locals;
-    no assignment names over three targets, so none builds a tuple; a
-    wall's roots are t1 then t2 (NaN when absent); a unit speed crossing
-    keeps its velocity floats; ``tuple.__new__`` makes events.
+    of the next scan that the last hit wall names in ``BilliardBook._scan``,
+    which hold the same nearest hit.  Per event, state, nearest hit and
+    globals are locals; no assignment names over three targets, so none
+    builds a tuple; a wall's roots are t1 then t2 (NaN when absent); a unit
+    speed crossing keeps its velocity floats; ``tuple.__new__`` makes events.
     """
     sqrt, hypot, t_min, tie_tol, on_tol = math.sqrt, math.hypot, T_MIN, TIE_TOL, ON_CONIC_TOL
     r3, event, new = Rule.R3, TrajectoryEvent, tuple.__new__
     x, y, vx, vy, leaf_id = state
-    walls_of, nan = book._scan, math.nan
-    scan = walls_of[leaf_id]
+    walls_of, scans = book._scan
+    scan, nan = walls_of[leaf_id], math.nan
     # |B^2 - AC| below this is a tangential hit; it scales as a^3, as the
     # discriminant does (1e-9 * a at a = 9), so a scaled book grazes alike
     graze_tol = 1e-9 * book.family.a * (book.family.a / 9.0) ** 2
@@ -198,7 +198,8 @@ def _events(book: BilliardBook, state: PhaseState, flowing=False) -> Iterator[Tr
                 break
         if bt is None:
             raise EscapedLeaf(f"ray from ({x:.6g}, {y:.6g}) on leaf {leaf_id} hits no boundary")
-        be, bda, bdb, rule, event_side, leaf_after, scan, _ = bw
+        be, bda, bdb, rule, event_side, leaf_after, after, _ = bw
+        scan = scans[after]
         hx = x + bt * vx
         hy = y + bt * vy
         if bg:

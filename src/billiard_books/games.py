@@ -205,36 +205,49 @@ def compile_game(game: OrderedGame) -> CompileReport:
         return CompileReport(book, {}, {}, 1, 0, 0, game, lf.id)
 
     norm, shift = normalize_game(game)
-    betas = norm.betas
+    betas, signature = norm.betas, norm.signature
     # A run of equal ellipses starts at each position j whose ellipse differs
     # from the one before it (position 0 does, after normalization); the
     # annulus between those two ellipses enters the run, and the annulus
     # that starts the next run leaves it.
     starts = [j for j in range(n) if not _same(betas[j - 1], betas[j])]
-    annulus_ids = {j: r + 1 for r, j in enumerate(starts)}
-    leaves = [Leaf(r + 1, *sorted((betas[j - 1], betas[j]))) for r, j in enumerate(starts)]
+    runs = len(starts)
+    starts.append(n)
+    annulus_ids: dict[int, int] = {}
+    leaves: list[Leaf] = []
+    disks: list[Leaf] = []
     disk_ids: dict[int, list[int]] = {}
     cycles: dict[float, list[list[int]]] = {}  # first equal ellipse -> its cycles
+    cycles_at: dict[float, list[list[int]]] = {}  # each game ellipse -> its gluing's cycles
     s_count = 0
-    for r, (j0, j1) in enumerate(zip(starts, starts[1:] + [n])):
+    next_id = runs + 1  # disk ids follow the annuli's
+    for r in range(runs):
+        j0, j1 = starts[r], starts[r + 1]
         beta, prev_b, next_b = betas[j0], betas[j0 - 1], betas[j1 % n]
+        annulus_ids[j0] = r + 1
+        leaves.append(Leaf(r + 1, prev_b, beta) if prev_b < beta else Leaf(r + 1, beta, prev_b))
         if beta > prev_b and beta > next_b:
             s_count += 1
         ids: list[int] = []
         # an outside reflection never sits in a longer run (pre-checked), and
         # it glues the two flanking annuli directly
-        if -1 not in norm.signature[j0:j1]:
+        if signature[j0] != -1:
             m = j1 - j0
             if prev_b > beta and next_b > beta:
                 m -= 1  # both neighbours nest inside the run's ellipse
             elif prev_b < beta and next_b < beta:
                 m += 1  # the run's ellipse nests inside both neighbours
-            ids = list(range(len(leaves) + 1, len(leaves) + m + 1))
-            leaves += [Leaf(i, beta) for i in ids]
+            ids = list(range(next_id, next_id + m))
+            next_id += m
+            disks += [Leaf(i, beta) for i in ids]
             if ids:
                 disk_ids[j0] = ids
-        key = next((k for k in cycles if _same(k, beta)), beta)
-        cycles.setdefault(key, []).append([r + 1, *ids, (r + 1) % len(starts) + 1])
+        at = cycles_at.get(beta)
+        if at is None:  # a game ellipse not met before: its gluing is new or _same as one
+            key = next((k for k in cycles if _same(k, beta)), beta)
+            at = cycles_at[beta] = cycles.setdefault(key, [])
+        at.append([r + 1, *ids, r + 2 if r + 1 < runs else 1])
+    leaves += disks
 
     gluings = tuple(GluingPermutation.from_cycles(k, c) for k, c in cycles.items())
     book = BilliardBook(game.family, tuple(leaves), gluings)
@@ -283,6 +296,13 @@ def admissible_caustic_range(game: OrderedGame) -> tuple[tuple[float, float], ..
     return ((max(game.betas), fam.b), (fam.b, fam.a))
 
 
+def _refuse_other_family(book: BilliardBook, game: OrderedGame) -> None:
+    """Raise ValueError when the game is played in another confocal family
+    than the book's."""
+    if game.family != book.family:
+        raise ValueError(f"the game's family {game.family} is not the book's {book.family}")
+
+
 def _draws(seed: int):
     """``random.Random(seed).random``; TypeError for a seed that is not an
     int, ValueError for a negative one, which Random would fold onto -seed."""
@@ -298,14 +318,16 @@ def admissible_start(
     """Deterministic pseudo-random state inside the leaf, moving tangentially
     to the caustic; None when none of _START_TRIES drawn points admits one.
 
-    With a game, the caustic must lie in its admissible range, and the
-    state's first event must be a reflection on the game's first ellipse.
-    A leaf the book does not have, or whose outer parameter is not an
-    ellipse of the family (not finite, or >= b), raises BookError, and a
-    seed that ``_draws`` refuses raises, each before any draw.
+    With a game, it must be played in the book's family (ValueError), the
+    caustic must lie in its admissible range, and the state's first event
+    must be a reflection on the game's first ellipse.  A leaf the book does
+    not have, or whose outer parameter is not an ellipse of the family (not
+    finite, or >= b), raises BookError, and a seed that ``_draws`` refuses
+    raises, each before any draw.
     """
     fam = book.family
     if game is not None:
+        _refuse_other_family(book, game)
         (e_lo, e_hi), (h_lo, h_hi) = admissible_caustic_range(game)
         if not (e_lo < caustic < e_hi or h_lo < caustic < h_hi):
             raise InadmissibleCaustic(
@@ -315,15 +337,21 @@ def admissible_start(
     leaf = _known_leaf(book, leaf_id)
     if not -math.inf < leaf.outer < fam.b:  # NaN too
         raise BookError(f"leaf {leaf_id} has outer {leaf.outer}, not an ellipse of the family")
-    sx = math.sqrt(fam.a - leaf.outer)
-    sy = math.sqrt(fam.b - leaf.outer)
+    # conic_residual's denominators, once: each residual is the same float
+    oa, ob = fam.a - leaf.outer, fam.b - leaf.outer
+    inner = leaf.inner
+    if inner is not None:
+        ia, ib = fam.a - inner, fam.b - inner
+    sx = math.sqrt(oa)
+    sy = math.sqrt(ob)
     draw = _draws(seed)
     for _ in range(_START_TRIES):
         px = -sx + 2 * sx * draw()
         py = -sy + 2 * sy * draw()
-        if fam.conic_residual(leaf.outer, px, py) > -1e-6:
+        xx, yy = px * px, py * py
+        if xx / oa + yy / ob - 1.0 > -1e-6:
             continue
-        if leaf.inner is not None and fam.conic_residual(leaf.inner, px, py) < 1e-6:
+        if inner is not None and xx / ia + yy / ib - 1.0 < 1e-6:
             continue
         for vx, vy in directions_with_caustic(fam, px, py, caustic):
             state = PhaseState(px, py, vx, vy, leaf_id)
@@ -346,11 +374,12 @@ def sample_trace(
     on a singular level or crosses too often before the last of them.  No
     event after the ``need``-th reflection is computed."""
     trace: list[tuple[float, EventSide]] = []
-    append, crossing = trace.append, EventSide.PASS_THROUGH
+    append, crossing, left = trace.append, EventSide.PASS_THROUGH, need
     for ev in islice(flow(book, state), 4 * need + 8):
         if ev.side is not crossing:  # ev.is_reflection, without the property call
             append((ev.ellipse, ev.side))
-            if len(trace) == need:
+            left -= 1
+            if left == 0:
                 break
     return trace
 
@@ -365,20 +394,24 @@ def verify_book(
     short, or (sample, 0) when no start was found; an empty list means every
     sample matched.  Raises ValueError for a negative sample count,
     InvalidGame for a game ``validate_game`` refuses, BookError for a start
-    leaf the book does not have and, before any draw, what ``_draws`` raises
-    for its seed.  Sample i draws its caustic, then its start's seed.  Each
+    leaf the book does not have, ValueError for a game of another family
+    than the book's and, before any draw, what ``_draws`` raises for its
+    seed.  Sample i draws its caustic, then its start's seed.  Each
     reflection is checked by membership in the book's boundary values
     ``_same`` as the game's ellipse (a reflection is always on one of them)."""
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     _refuse_invalid(game)
     _known_leaf(book, start_leaf)
+    _refuse_other_family(book, game)
     walls = {e for lf in book.leaves for e in lf.boundary_params()}
     same = {beta: {e for e in walls if _same(e, beta)} for beta in set(game.betas)}
     want = [
         (same[beta], EventSide.FROM_INSIDE if sig == 1 else EventSide.FROM_OUTSIDE)
         for beta, sig in zip(game.betas, game.signature)
     ] * _VERIFY_CYCLES
+    # a trace equal to this one passes, so it needs no reflection-by-reflection read
+    passing = [(next(iter(ellipses), None), want_side) for ellipses, want_side in want]
     elliptic, hyperbolic = admissible_caustic_range(game)
     draw = _draws(seed)
     failures: list[tuple[int, int]] = []
@@ -397,6 +430,8 @@ def verify_book(
         trace = sample_trace(book, state, need)
         if len(trace) < need:
             failures.append((i, len(trace)))
+            continue
+        if trace == passing:
             continue
         for j, ((e, side), (ellipses, want_side)) in enumerate(zip(trace, want)):
             if side is not want_side or e not in ellipses:

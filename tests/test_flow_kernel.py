@@ -9,8 +9,10 @@ makes the same events one ``step`` call at a time, each scanning every wall,
 and must agree under ``==``, with the same per-book wall table.
 """
 
+import gc
 import logging
 import math
+import weakref
 from itertools import islice
 
 import numpy as np
@@ -23,12 +25,16 @@ from billiard_books import (
     ConfocalFamily,
     EventSide,
     Leaf,
+    OrderedGame,
     PhaseState,
+    admissible_start,
     annulus,
     compile_game,
     disk,
     make_book,
+    simulate,
     step,
+    verify_realization,
 )
 from billiard_books.conics import directions_with_caustic, ray_intersections
 from billiard_books.dynamics import TangentialHit, _events, flow
@@ -189,3 +195,27 @@ def test_the_kernel_keeps_no_hidden_state(books, start, k, more):
         assert events == [] or events[0].side is EventSide.PASS_THROUGH
     else:
         assert events[0] == first
+
+
+def test_a_book_is_freed_by_reference_counting(family):
+    # each wall of the scan table names its next scan by an index, so the
+    # table holds no reference cycle: with the cyclic collector off, a book
+    # that has run the kernel goes, tables and all, when its last reference
+    # does, and the collector then finds nothing (while each wall held the
+    # walls of its next scan, which led back, it found the table's lists)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        rep = compile_game(OrderedGame(family, (0.0, 2.0, 0.8, 3.5), (1, 1, 1, -1)))
+        assert verify_realization(rep, samples=4, seed=1) == []
+        state = admissible_start(rep.book, rep.start_leaf_id, 6.5, 3)
+        assert len(simulate(rep.book, state, 200).events) == 200
+        book = weakref.ref(rep.book)
+        assert "_scan" in vars(book())
+        del rep
+        assert book() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -285,6 +286,25 @@ def test_realization_random_games(family):
         )
 
 
+def test_verify_book_takes_every_boundary_float_of_a_game_ellipse(family):
+    # a disk whose parameter is another float within the tolerance of the
+    # game's ellipse, which the annuli keep: the game's ellipse is two
+    # boundary values, and a trace passes whichever of them each reflection
+    # reports; the book realizes the game, and the game in the other order
+    # fails
+    rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
+    assert rep.book.leaf(4) == Leaf(4, 2.0)
+    leaves = tuple(Leaf(4, 2.0 + 5e-13) if lf.id == 4 else lf for lf in rep.book.leaves)
+    book = BilliardBook(family, leaves, rep.book.gluings)
+    assert {e for lf in leaves for e in lf.boundary_params() if _same(e, 2.0)} == {
+        2.0, 2.0 + 5e-13}
+    assert games.verify_book(book, rep.game, rep.start_leaf_id, 6, 1) == []
+    start = admissible_start(book, rep.start_leaf_id, 6.5, 3, rep.game)
+    assert (2.0 + 5e-13, EventSide.FROM_INSIDE) in trace_to_game(simulate(book, start, 40))
+    other = game(family, (0.0, 3.5, 2.0), (1, -1, 1))
+    assert games.verify_book(book, other, rep.start_leaf_id, 6, 1) != []
+
+
 # --- inverse book and admissible starts ---------------------------------------
 
 def test_invert_book_roundtrip(family):
@@ -397,6 +417,31 @@ def test_an_unknown_start_leaf_is_refused_by_name(family, monkeypatch, call):
     monkeypatch.setattr(games, "_draws", no_draw)
     with pytest.raises(BookError, match=r"^the book has no leaf 99$"):
         call(rep)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rep, other: admissible_start(rep.book, rep.start_leaf_id, 6.5, 4, other),
+        lambda rep, other: games.verify_book(rep.book, other, rep.start_leaf_id, 4, 1),
+        lambda rep, other: verify_realization(replace(rep, game=other), samples=4, seed=1),
+    ],
+    ids=["admissible_start", "verify_book", "verify_realization"],
+)
+def test_a_game_of_another_family_is_refused(family, monkeypatch, call):
+    # with the CLI's message, and before any start or caustic is drawn;
+    # verify_book returned [(0, 0), (1, 0), (2, 0), (3, 0)] and
+    # admissible_start None, each testing the game's ranges on this book
+    rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
+    other = OrderedGame(ConfocalFamily(25.0, 16.0), rep.game.betas, rep.game.signature)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a random generator was made for a game of another family")
+
+    monkeypatch.setattr(games, "_draws", no_draw)
+    message = f"the game's family {other.family} is not the book's {family}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(rep, other)
 
 
 @pytest.mark.parametrize(
@@ -543,6 +588,8 @@ def reference_start(book, leaf_id, caustic, seed, game=None):
     """``admissible_start`` drawing each coordinate by ``Random.uniform``."""
     fam = book.family
     if game is not None:
+        if game.family != fam:
+            raise ValueError(f"the game's family {game.family} is not the book's {fam}")
         (e_lo, e_hi), (h_lo, h_hi) = admissible_caustic_range(game)
         if not (e_lo < caustic < e_hi or h_lo < caustic < h_hi):
             raise InadmissibleCaustic(

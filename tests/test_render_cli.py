@@ -293,6 +293,32 @@ def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, code, complain
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["--pos", "-2.5,0.3", "--vel", "-1,0"], ["--pos=-2.5,0.3", "--vel=-1,0"]),
+        (["--caustic", "-1e-3"], ["--caustic=-1e-3"]),
+    ],
+    ids=["pos-vel", "caustic"],
+)
+def test_cli_takes_values_that_start_with_a_minus(tmp_path, capsys, spaced, joined):
+    # argparse took a value such as -1,0 or -1e-3 for an option and refused
+    # it ("expected one argument"), so only the "=" form worked
+    book = tmp_path / "book.json"
+    book.write_text(dumps_book(make_book(ConfocalFamily(9.0, 4.0), [disk(1, -1.0)])))
+    csv = tmp_path / "t.csv"
+
+    def run(options):
+        code = main(["simulate", str(book), *options, "--events", "20", "--csv", str(csv)])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, csv.read_text()
+
+    got = run(spaced)
+    assert got == run(joined)
+    assert got[0] == 0
+    assert got[3].count("\n") == 21
+
+
 def test_cli_outputs_deterministic(tmp_path, capsys):
     game = write_game(tmp_path / "game.json", (0.0, 2.0, 3.5), (1, 1, 1))
     b1, b2 = str(tmp_path / "b1.json"), str(tmp_path / "b2.json")
