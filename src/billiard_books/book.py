@@ -196,59 +196,43 @@ class BilliardBook:
         return tuple(sorted(vals))
 
     @cached_property
-    def _walls(self) -> dict[int, tuple[tuple, ...]]:
-        """Leaf id -> one wall (e, a - e, b - e, rule, event side, leaf
-        after) per boundary parameter e of the leaf, with ``transition``'s
-        answer there: the table the vertex map reads and ``_scan`` extends.
-        Each boundary value's gluing is looked up once, for all its walls."""
+    def _walls(self) -> tuple[dict[int, tuple[tuple, ...]], list[tuple[tuple, ...]]]:
+        """The book's one wall table, (leaf id -> its walls, next scans),
+        built in one pass over the leaves.  A leaf has one wall (e, a - e,
+        b - e, rule, event side, leaf after, next scan, ends) per boundary
+        parameter e, with ``transition``'s answer there, each boundary
+        value's gluing looked up once.  Next scan indexes the list of the
+        walls of the leaf after that a chord from the wall can end on, in
+        scan order (an index, so the table holds no reference cycle); ends
+        marks a hole, a hit on which ends a scan.  A chord leaving a hole
+        outward cannot meet it again, so only the outer wall is listed; one
+        entering from the outer wall meets the hole first, if at all, so it
+        is listed first, unless the two ellipses come within TIE_TOL (at the
+        major axis), where the tie rule must see both.  Any other scan lists
+        every wall of the leaf after, in its order, the hole last."""
         a, b = self.family.a, self.family.b
         gluing_at: dict[float, GluingPermutation | None] = {}
-        walls = {}
+        holes: dict[int, float | None] = {}
+        walls: dict[int, tuple[tuple, ...]] = {}
+        entered: list[tuple[float, int]] = []  # (e, leaf after) at each next scan's index
         for lf in self.leaves:
             here = self._by_id[lf.id]  # transition's leaf: the last one with this id
+            hole = holes[lf.id] = (
+                lf.inner if lf.inner is not None and -math.inf < lf.outer < lf.inner < b else None)
             row = []
             for e in lf.boundary_params():
                 if e in gluing_at:
                     gluing = gluing_at[e]
                 else:
                     gluing = gluing_at[e] = self.gluing_for(e)
-                row.append((e, a - e, b - e) + _rule(self, here, e, gluing))
+                rule, side, leaf_after = _rule(self, here, e, gluing)
+                row.append((e, a - e, b - e, rule, side, leaf_after, len(entered), e == hole))
+                entered.append((e, leaf_after))
             walls[lf.id] = tuple(row)
-        return walls
-
-    @cached_property
-    def _scan(self) -> tuple[dict[int, tuple[tuple, ...]], list[tuple[tuple, ...]]]:
-        """The walls as the event kernel scans them: (leaf id -> its walls,
-        next scans).  Each wall of ``_walls`` gains the index, into the list
-        of next scans, of the walls of the leaf after that a chord from it
-        can end on, in scan order, and whether a hit on it ends a scan (a
-        hole's does).  Walls name their next scan by index, not by holding
-        it, so the table holds no reference cycle and a book is freed by
-        reference counting.  In an annulus of the family, a chord leaving
-        the hole outward cannot meet it again, so only the outer wall is
-        listed; one entering from the outer wall meets the hole, if at all,
-        first, so the hole is listed first, unless the two ellipses come
-        within TIE_TOL (at the major axis), where the tie rule must see
-        both.  Any other scan lists every wall of the leaf after, in its
-        order, the hole last."""
-        a, b = self.family.a, self.family.b
-        holes = {}
-        for lf in self.leaves:
-            if lf.inner is not None and -math.inf < lf.outer < lf.inner < b:
-                holes[lf.id] = lf.inner
-        first: dict[int, tuple[tuple, ...]] = {}
-        indexed: list[tuple] = []  # each wall, at the index of its next scan
-        for leaf_id, walls in self._walls.items():
-            hole = holes.get(leaf_id)
-            row = []
-            for wall in walls:
-                row.append(wall + (len(indexed), wall[0] == hole))
-                indexed.append(wall)
-            first[leaf_id] = tuple(row)
         scans = []
-        for e, _, _, _, _, leaf_after in indexed:
-            walls_after = first[leaf_after]
-            hole = holes.get(leaf_after)
+        for e, leaf_after in entered:
+            walls_after = walls[leaf_after]
+            hole = holes[leaf_after]
             if e == hole:
                 walls_after = walls_after[:1]
             elif hole is not None and e == self._by_id[leaf_after].outer and (
@@ -256,7 +240,7 @@ class BilliardBook:
             ):
                 walls_after = walls_after[::-1]
             scans.append(walls_after)
-        return first, scans
+        return walls, scans
 
 
 def _rule(book: BilliardBook, leaf: Leaf, ellipse: float,
@@ -282,9 +266,9 @@ def transition(book: BilliardBook, leaf_id: int, ellipse: float) -> tuple[Rule, 
     when the image leaf sits on the same side of the ellipse, R3 (a
     pass-through) when it sits on the opposite side.  It is the only place
     a gluing decides a rule (through ``_rule``, which the wall table shares),
-    and it keeps no state: ``BilliardBook._walls`` holds its answer at every
-    leaf boundary.  A missing image leaf raises KeyError, an ellipse off the
-    leaf or its image NotABoundary.
+    and it keeps no state: fields 4-6 of each wall in ``BilliardBook._walls``
+    hold its answer at that leaf boundary.  A missing image leaf raises
+    KeyError, an ellipse off the leaf or its image NotABoundary.
     """
     return _rule(book, book.leaf(leaf_id), ellipse, book.gluing_for(ellipse))
 

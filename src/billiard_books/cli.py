@@ -95,7 +95,11 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     book = _load_valid_book(args.book)
     leaf_id = _leaf_or_smallest(book, args.leaf)
-    if args.pos is not None and args.vel is not None:
+    if args.caustic is not None and (args.pos is not None or args.vel is not None):
+        raise ValueError("give the start by --pos/--vel or by --caustic, not both")
+    if (args.pos is None) != (args.vel is None):
+        raise ValueError("--pos and --vel go together: give both")
+    if args.pos is not None:
         px, py = args.pos
         vx, vy = args.vel
         n = math.hypot(vx, vy)

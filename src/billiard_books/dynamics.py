@@ -106,9 +106,9 @@ def glued_return_leaf(
     wall on the ellipse in ``book._walls`` (NotABoundary when it has none):
     the combinatorial core of the grazing-limit continuity test.
     """
-    walls, cur = book._walls, outer_leaf_id
+    walls, cur = book._walls[0], outer_leaf_id
     for k in range(len(book.leaves) + 1):
-        for e, _, _, _, _, leaf_after in walls[cur]:
+        for e, _, _, _, _, leaf_after, _, _ in walls[cur]:
             if _same(e, ellipse_param):
                 break
         else:
@@ -141,9 +141,9 @@ def _events(book: BilliardBook, state: PhaseState, flowing=False) -> Iterator[Tr
     It computes inline, in the same order, what ``ray_intersections``,
     ``ray_conic_coefficients``, ``project_to_conic`` and ``reflect`` do, so
     every float is theirs.  The first event, and one after a grazing
-    continuation, scans every wall of the leaf; a later one scans the walls
-    of the next scan that the last hit wall names in ``BilliardBook._scan``,
-    which hold the same nearest hit.  Per event, state, nearest hit and
+    continuation, scans every wall of the leaf in ``BilliardBook._walls``; a
+    later one scans the walls of the next scan that the last hit wall names
+    there, which hold the same nearest hit.  Per event, state, nearest hit and
     globals are locals; no assignment names over three targets, so none
     builds a tuple; a wall's roots are t1 then t2 (NaN when absent); a unit
     speed crossing keeps its velocity floats; ``tuple.__new__`` makes events.
@@ -151,7 +151,7 @@ def _events(book: BilliardBook, state: PhaseState, flowing=False) -> Iterator[Tr
     sqrt, hypot, t_min, tie_tol, on_tol = math.sqrt, math.hypot, T_MIN, TIE_TOL, ON_CONIC_TOL
     r3, event, new = Rule.R3, TrajectoryEvent, tuple.__new__
     x, y, vx, vy, leaf_id = state
-    walls_of, scans = book._scan
+    walls_of, scans = book._walls
     scan, nan = walls_of[leaf_id], math.nan
     # |B^2 - AC| below this is a tangential hit; it scales as a^3, as the
     # discriminant does (1e-9 * a at a = 9), so a scaled book grazes alike

@@ -367,15 +367,18 @@ def admissible_start(
 
 
 def sample_trace(
-    book: BilliardBook, state: PhaseState, need: int
+    book: BilliardBook, state: PhaseState, need: int, budget: int
 ) -> list[tuple[float, EventSide]]:
     """The first ``need`` reflections (ellipse, side) of the flow from
-    ``state``, read from at most 4·need + 8 events; fewer when the flow ends
-    on a singular level or crosses too often before the last of them.  No
-    event after the ``need``-th reflection is computed."""
+    ``state``, read from at most ``budget`` events; fewer when the flow ends
+    on a singular level or the budget runs out before the last of them.  No
+    event after the ``need``-th reflection is computed.  Between two
+    reflections the particle runs on one line, which meets each of the
+    book's W boundary ellipses at most twice, so need·(2W + 1) events hold
+    ``need`` reflections of any flow that does not end."""
     trace: list[tuple[float, EventSide]] = []
     append, crossing, left = trace.append, EventSide.PASS_THROUGH, need
-    for ev in islice(flow(book, state), 4 * need + 8):
+    for ev in islice(flow(book, state), budget):
         if ev.side is not crossing:  # ev.is_reflection, without the property call
             append((ev.ellipse, ev.side))
             left -= 1
@@ -416,6 +419,7 @@ def verify_book(
     draw = _draws(seed)
     failures: list[tuple[int, int]] = []
     need = len(want)
+    budget = need * (2 * len(walls) + 1) + 8
     for i in range(samples):
         # alternate hyperbolic and elliptic caustics, keeping clear of the
         # critical endpoints
@@ -427,7 +431,7 @@ def verify_book(
         if state is None:
             failures.append((i, 0))
             continue
-        trace = sample_trace(book, state, need)
+        trace = sample_trace(book, state, need, budget)
         if len(trace) < need:
             failures.append((i, len(trace)))
             continue

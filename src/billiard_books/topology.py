@@ -126,7 +126,7 @@ def _vertex_table(book: BilliardBook) -> tuple[list, list]:
     seeds: list[tuple[tuple, float]] = []
     rows: list[tuple] = []
     for lf in book.leaves:
-        for e, _, _, rule, side, image in book._walls[lf.id]:
+        for e, _, _, rule, side, image, _, _ in book._walls[0][lf.id]:
             leaf = book.leaf(image)
             from_hole = boundary_side(leaf, e) is Side.OUTSIDE
             reach = math.inf if from_hole or leaf.inner is None else leaf.inner

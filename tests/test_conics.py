@@ -16,6 +16,7 @@ from billiard_books import (
 from billiard_books.conics import (
     T_MIN,
     directions_with_caustic,
+    project_to_conic,
     ray_intersections,
 )
 
@@ -207,3 +208,8 @@ def test_rotate_to_caustic_picks_nearest(family):
     assert res is not None
     wx, wy = res
     assert wx * vx + wy * vy > 0.99
+
+
+def test_project_to_conic_keeps_the_origin(family):
+    # the origin has no radial direction to rescale along
+    assert project_to_conic(family, 2.0, 0.0, 0.0) == (0.0, 0.0)

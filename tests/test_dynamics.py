@@ -37,6 +37,7 @@ from billiard_books.dynamics import (
     Trajectory,
     TrajectoryEvent,
     flow,
+    glued_return_leaf,
     time_reversed_start,
 )
 from conftest import random_state, rng_for
@@ -342,10 +343,12 @@ def test_simulate_is_a_prefix_of_the_flow(books, start, m, more):
     # b - e) with the answer transition gives there on a fresh copy of the book
     fresh = BilliardBook(book.family, book.leaves, book.gluings)
     a, b = fresh.family.a, fresh.family.b
-    assert list(book._walls) == [lf.id for lf in book.leaves]
-    for leaf_id, walls in book._walls.items():
-        assert walls == tuple((e, a - e, b - e, *transition(fresh, leaf_id, e))
-                              for e in fresh.leaf(leaf_id).boundary_params())
+    walls_of, _ = book._walls
+    assert list(walls_of) == [lf.id for lf in book.leaves]
+    for leaf_id, walls in walls_of.items():
+        assert tuple(wall[:6] for wall in walls) == tuple(
+            (e, a - e, b - e, *transition(fresh, leaf_id, e))
+            for e in fresh.leaf(leaf_id).boundary_params())
     outside = PhaseState(100.0, 0.0, 1.0, 0.0, book.leaves[0].id)
     with pytest.raises(EscapedLeaf):
         simulate(book, outside, max_events=0)
@@ -598,3 +601,9 @@ def test_csv_reprints_equal_velocities_held_by_other_objects():
         "0.0,1.0", "0.0,1.0", "-0.0,1.0", "0.0,-1.0", "0.5,nan", "0.5,nan",
         "0.5,nan", "0.5,nan", "1.0,-0.0", "1.0,0.0", "1.0,0.0",
     ]
+
+
+def test_glued_return_leaf_refuses_an_ellipse_off_the_leaf(books):
+    # C_1 bounds no leaf of the book, so leaf 1 has no wall there to follow
+    with pytest.raises(NotABoundary, match=r"^1\.0 is not a boundary of leaf 1$"):
+        glued_return_leaf(books["annulus_two_disks"], 1.0, 1)

@@ -65,7 +65,10 @@ def assert_same_flow(book, state, n):
     kernel_book, reference_book = fresh(book), fresh(book)
     got = run(flow, kernel_book, state, n)
     assert got == run(reference_flow, reference_book, state, n), state
-    assert list(kernel_book._walls.items()) == list(reference_book._walls.items())
+    (kernel_walls, kernel_scans), (reference_walls, reference_scans) = (
+        kernel_book._walls, reference_book._walls)
+    assert list(kernel_walls.items()) == list(reference_walls.items())
+    assert kernel_scans == reference_scans
     return got[0]
 
 
@@ -198,7 +201,7 @@ def test_the_kernel_keeps_no_hidden_state(books, start, k, more):
 
 
 def test_a_book_is_freed_by_reference_counting(family):
-    # each wall of the scan table names its next scan by an index, so the
+    # each wall of the wall table names its next scan by an index, so the
     # table holds no reference cycle: with the cyclic collector off, a book
     # that has run the kernel goes, tables and all, when its last reference
     # does, and the collector then finds nothing (while each wall held the
@@ -212,7 +215,7 @@ def test_a_book_is_freed_by_reference_counting(family):
         state = admissible_start(rep.book, rep.start_leaf_id, 6.5, 3)
         assert len(simulate(rep.book, state, 200).events) == 200
         book = weakref.ref(rep.book)
-        assert "_scan" in vars(book())
+        assert "_walls" in vars(book())
         del rep
         assert book() is None
         assert gc.collect() == 0

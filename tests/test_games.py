@@ -18,12 +18,15 @@ from billiard_books import (
     PhaseState,
     RepeatWithOutside,
     admissible_start,
+    annulus,
     ConfocalFamily,
     GluingPermutation,
     compile_game,
     compile_simple,
+    disk,
     invert_gluings,
     leaf_count_bounds,
+    make_book,
     normalize_game,
     save_book,
     simulate,
@@ -480,10 +483,16 @@ def test_first_reflection_is_on_first_ellipse(family):
 
 # --- verification reads only the reflections it compares ----------------------
 
+def event_budget(book, need):
+    """The events verification reads for ``need`` reflections at most:
+    need·(2W + 1) + 8 for the book's W distinct boundary floats."""
+    return need * (2 * len({e for lf in book.leaves for e in lf.boundary_params()}) + 1) + 8
+
+
 def full_run_trace(book, state, need):
     """The sample trace as read before verification stopped early: the whole
     event budget simulated, then cut to the reflections compared."""
-    return trace_to_game(simulate(book, state, max_events=4 * need + 8))[:need]
+    return trace_to_game(simulate(book, state, max_events=event_budget(book, need)))[:need]
 
 
 def permute_one_gluing(book, rng):
@@ -507,9 +516,10 @@ def write_verify_inputs(tmp_path, rep, g):
 def test_verification_matches_full_length_runs(family, monkeypatch, tmp_path, capsys):
     sample_trace = games.sample_trace
 
-    def oracle(book, state, need):
+    def oracle(book, state, need, budget):
+        assert budget == event_budget(book, need)
         old = full_run_trace(book, state, need)
-        assert sample_trace(book, state, need) == old
+        assert sample_trace(book, state, need, budget) == old
         return old
 
     rng = np.random.default_rng(20)
@@ -580,6 +590,45 @@ def test_verification_steps_only_to_the_last_reflection_read(family, monkeypatch
     ]
     assert len(starts) == 6
     assert len(steps) == sum(last_read) < 6 * (4 * need + 8)
+
+
+def stacked_annuli(family):
+    """Three annuli and a disk stacked inside C_0, each glued to the next: a
+    chord from C_0 back to C_0 crosses up to six walls."""
+    return make_book(
+        family,
+        [annulus(1, 0.0, 0.5), annulus(2, 0.5, 1.0), annulus(3, 1.0, 1.5), disk(4, 1.5)],
+        [(0.5, [[1, 2]]), (1.0, [[2, 3]]), (1.5, [[3, 4]])],
+    )
+
+
+def test_verification_reads_every_crossing_between_reflections(family, tmp_path, capsys):
+    # a one-reflection game on C_0 with 6 crossings between reflections: the
+    # old 4·need + 8 event budget cut each trace short at its fourth
+    # reflection; need·(2W + 1) + 8 holds a line crossing each wall twice
+    book = stacked_annuli(family)
+    g = game(family, (0.0,), (1,))
+    crossings = []
+    for seed in range(4):
+        state = admissible_start(book, 1, 5.0, seed, g)
+        gaps = [0]
+        for ev in simulate(book, state, 60).events:
+            if ev.is_reflection:
+                assert ev.ellipse == 0.0
+                gaps.append(0)
+            else:
+                gaps[-1] += 1
+        crossings += gaps[1:-1]
+    assert set(crossings) == {6}
+    assert games.verify_book(book, g, 1, 4, seed=0) == []
+    book_file = str(tmp_path / "book.json")
+    save_book(book, book_file)
+    game_file = tmp_path / "game.json"
+    game_file.write_text(json.dumps(
+        {"family": {"a": family.a, "b": family.b}, "betas": [0.0], "signature": [1]}))
+    assert main(["verify", book_file, str(game_file), "--samples", "4"]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == ("samples=4 mismatches=0\n", "")
 
 
 # --- the start sampler against a copy of its Random.uniform form ---------------

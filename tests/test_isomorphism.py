@@ -93,6 +93,20 @@ def test_two_triangles_are_not_a_hexagon():
     assert graphs_isomorphic(hexagon, relabel(hexagon, np.random.default_rng(0)))
 
 
+def test_atom_labels_tell_graphs_apart():
+    # one edge between two atoms in each, but the labels differ: the
+    # initial colours, (level rank, type), separate them before refinement
+    a_b = graph_from_census([(0.0, "A"), (1.0, "B")], [(0, 1)])
+    a_a = graph_from_census([(0.0, "A"), (1.0, "A")], [(0, 1)])
+    assert not oracle(a_b, a_a)
+    assert not graphs_isomorphic(a_b, a_a)
+    assert not graphs_isomorphic(a_a, a_b)
+
+
+def test_empty_graphs_are_isomorphic():
+    assert graphs_isomorphic(FomenkoGraph([], []), FomenkoGraph([], []))
+
+
 def test_petersen_graph_is_not_a_prism():
     # both 3-regular on 10 equal atoms: a search that matched only the
     # number of edges into the mapped atoms, not each multiplicity, would

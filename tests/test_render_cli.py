@@ -13,6 +13,7 @@ from billiard_books import (
     make_book,
     simulate,
 )
+from billiard_books import cli
 from billiard_books.cli import main
 from billiard_books.dynamics import PhaseState
 from billiard_books.render import RenderSpec, trajectory_svg
@@ -242,6 +243,14 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
         (["compile", "BAD_SIGNATURE", "--out", "OUT"], 3, "error: $.signature: "),
         (["simulate", "BOOK", "--leaf", "1"], 3, "error: need either --pos/--vel or --caustic"),
         (["simulate", "BOOK", "--pos=2.8", "--vel", "1,0"], 3, "argument --pos: expected 'x,y'"),
+        (["simulate", "BOOK", "--leaf", "1", "--pos=2.8,0.3"], 3,
+         "error: --pos and --vel go together: give both"),
+        (["simulate", "BOOK", "--leaf", "1", "--vel", "0,1"], 3,
+         "error: --pos and --vel go together: give both"),
+        (["simulate", "BOOK", "--leaf", "1", "--pos=2.8,0.3", "--vel", "0,1", "--caustic", "6.0"],
+         3, "error: give the start by --pos/--vel or by --caustic, not both"),
+        (["simulate", "BOOK", "--leaf", "1", "--pos=2.8,0.3", "--caustic", "6.0"], 3,
+         "error: give the start by --pos/--vel or by --caustic, not both"),
     ],
     ids=["no-leaf", "pos-outside", "zero-vel", "nan-caustic", "negative-events",
          "negative-seed", "negative-samples", "verify-negative-seed", "no-start-leaf",
@@ -249,7 +258,8 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
          "events-not-integer", "non-finite-book", "near-levels", "verify-from-a-disk",
          "caustic-outside-leaf", "chained-ellipses", "bool-signature", "extra-game-field",
          "game-not-object", "game-family-not-number", "betas-not-numbers", "signature-not-sign",
-         "no-start-mode", "pos-one-coordinate"],
+         "no-start-mode", "pos-one-coordinate", "pos-without-vel", "vel-without-pos",
+         "pos-vel-and-caustic", "pos-and-caustic"],
 )
 def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, code, complaint):
     """main returns the documented code, with no traceback or SystemExit."""
@@ -355,3 +365,13 @@ def test_cli_main_can_be_called_again(tmp_path, capsys, books):
     assert stop.value.code == 0
     assert capsys.readouterr().out.startswith("usage: billiard-books")
     assert [run(argv) for argv in (*refused, valid, *refused)] == [*first, *first[:2]]
+
+
+def test_main_reraises_an_exception_outside_its_table(monkeypatch):
+    # a fault of the program is no input error: it keeps its traceback
+    def fault(args):
+        raise RuntimeError("a fault")
+
+    monkeypatch.setattr(cli, "cmd_fomenko", fault)
+    with pytest.raises(RuntimeError, match="^a fault$"):
+        main(["fomenko", "book.json"])

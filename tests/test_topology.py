@@ -102,10 +102,13 @@ def test_enumerate_regimes_refuses_endless_crossings(books, monkeypatch):
     real = topology._vertex_table
     seeds, _ = real(book)
     crossing = BilliardBook(book.family, book.leaves, book.gluings)
-    vars(crossing)["_walls"] = {  # its wall table, with every rule a crossing
-        leaf_id: tuple((*wall[:3], Rule.R3, EventSide.PASS_THROUGH, leaf_id) for wall in walls)
-        for leaf_id, walls in book._walls.items()
-    }
+    walls_of, scans = book._walls
+    # its wall table, with every rule a crossing; topology reads no next scan
+    vars(crossing)["_walls"] = ({
+        leaf_id: tuple((*wall[:3], Rule.R3, EventSide.PASS_THROUGH, leaf_id, *wall[6:])
+                       for wall in walls)
+        for leaf_id, walls in walls_of.items()
+    }, scans)
     monkeypatch.setattr(topology, "_vertex_table", lambda book_: (seeds, real(book_)[1]))
     with pytest.raises(TopologyError, match=r"lam=1\.0 met no reflection"):
         enumerate_regimes(crossing, 1.0)
@@ -230,6 +233,15 @@ def test_pass_through_return_unglued_outer(family):
     )
     with pytest.raises(NoInnerLeaf):
         pass_through_return(book, 2.0, 1)
+    # the numerical witness refuses the same leaf, before any probe
+    with pytest.raises(NoInnerLeaf, match=r"^leaf 1 is not glued across C_2\.0$"):
+        grazing_probe_exits(book, 2.0, 1)
+
+
+def test_pass_through_return_refuses_a_leaf_within_the_ellipse(books):
+    # leaf 2 is a disk on C_2: it lies within the ellipse, not outside it
+    with pytest.raises(TopologyError, match=r"^leaf 2 does not lie outside C_2\.0$"):
+        pass_through_return(books["annulus_two_disks"], 2.0, 2)
 
 
 def test_grazing_probes_match_chain(books):

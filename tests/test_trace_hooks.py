@@ -68,24 +68,33 @@ def _reads(tree):
     return reads
 
 
+def _definitions(body):
+    """(line, name) of each function, class or constant a module body defines,
+    and of each method or property of its class bodies."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+            if isinstance(node, ast.ClassDef):
+                yield from ((item.lineno, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+
+
 def test_every_definition_is_read():
-    """A module-level function, class or constant of the package that no code
-    in src, tests, demos or perfbench reads is dead and goes."""
+    """A module-level function, class or constant of the package, or a method
+    or property of one of its classes, that no code in src, tests, demos or
+    perfbench reads is dead and goes: a cached table left behind fails here."""
     sources = [path for folder in ("src", "tests", "demos", "perfbench")
                for path in sorted((ROOT / folder).rglob("*.py"))]
     reads = set()
     for path in sources:
         reads |= _reads(ast.parse(path.read_text(encoding="utf-8")))
-    unread = []
-    for path in sorted((ROOT / "src" / "billiard_books").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            unread += [f"{path.name}:{node.lineno} {name}" for name in names
-                       if name not in reads and not name.startswith("__")]
+    unread = [
+        f"{path.name}:{line} {name}"
+        for path in sorted((ROOT / "src" / "billiard_books").glob("*.py"))
+        for line, name in _definitions(ast.parse(path.read_text(encoding="utf-8")).body)
+        if name not in reads and not name.startswith("__")
+    ]
     assert unread == []

@@ -71,5 +71,5 @@ def test_graph_and_regimes_leave_no_state_on_the_book(family):
             verify_realization(rep, samples=2)
         assert _state(book) == before, book
         assert set(vars(book)) == {
-            "family", "leaves", "gluings", "_by_id", "boundary_values", "_walls", "_scan"
+            "family", "leaves", "gluings", "_by_id", "boundary_values", "_walls"
         }, book
