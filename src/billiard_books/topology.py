@@ -165,13 +165,14 @@ def enumerate_regimes(book: BilliardBook, lam: float) -> list[RegimeDescriptor]:
         raise CriticalLambda(f"lam={lam} is outside the dynamical range")
     below = max(lv for lv in levels if lv < lam)
     above = min(lv for lv in levels if lv > lam)
-    return _band_regimes(book, _vertex_table(book), lam, (below, above))
+    return [r for _, r in _band_regimes(book, _vertex_table(book), lam, (below, above))]
 
 
 def _band_regimes(book: BilliardBook, table: tuple, lam: float, band: tuple) -> list:
-    """``enumerate_regimes`` at a regular lam of the interval ``band``.  Each
-    regime starts at the least rotation of its cycle's state keys among
-    those starting at a reflection (the first such on a tie)."""
+    """``enumerate_regimes`` at a regular lam of the interval ``band``, as
+    (key, regime) pairs.  Each regime starts at the least rotation of its
+    cycle's state keys among those starting at a reflection (the first such
+    on a tie)."""
     seeds, rows = table
     walks = _walk_cycles(
         [v for v, e in seeds if e < lam or lam > book.family.b],
@@ -180,16 +181,23 @@ def _band_regimes(book: BilliardBook, table: tuple, lam: float, band: tuple) -> 
     )
     keyed = []
     for walk in walks:
-        cycle = [ev for _, ev in walk]
-        keys = [k for _, k in cycle]
-        starts = [i for i, (s, _) in enumerate(cycle) if s.side is not EventSide.PASS_THROUGH]
-        if not starts:
+        rotated = _least_rotation([ev for _, ev in walk])
+        if rotated is None:
             raise TopologyError(f"vertex walk at lam={lam} met no reflection from {walk[0][0]}")
-        best = min(starts, key=lambda i: keys[i:] + keys[:i])
-        states = tuple(s for s, _ in cycle[best:] + cycle[:best])
-        keyed.append((keys[best:] + keys[:best], RegimeDescriptor(band, states, states[0].sign)))
+        states, keys = rotated
+        keyed.append((keys, RegimeDescriptor(band, states, states[0].sign)))
     keyed.sort(key=lambda kr: kr[0])
-    return [r for _, r in keyed]
+    return keyed
+
+
+def _least_rotation(cycle: list) -> tuple | None:
+    """A cycle of (state, key) pairs as (states, keys), rotated to its least
+    sequence of keys that starts at a reflection (the first such on a tie);
+    None when it holds no reflection."""
+    keys = [k for _, k in cycle]
+    starts = [i for i, (s, _) in enumerate(cycle) if s.side is not EventSide.PASS_THROUGH]
+    best = min(starts, key=lambda i: keys[i:] + keys[:i], default=None)
+    return None if best is None else tuple(zip(*cycle[best:], *cycle[:best]))
 
 
 # ---------------------------------------------------------------------------
@@ -249,18 +257,6 @@ def grazing_probe_exits(
             raise TopologyError(f"grazing probe {i} at C_{ellipse_param} did not exit")
         exits.append(exit_leaf)
     return exits
-
-
-def _level_inconsistent(book: BilliardBook, e: float) -> bool:
-    """True when some grazing chain at the ellipse fails to return, so the
-    flow cannot be extended continuously across the level."""
-    for lid in book.leaf_ids_on_ellipse(e):
-        if boundary_side(book.leaf(lid), e) is not Side.OUTSIDE:
-            continue
-        ret = glued_return_leaf(book, e, lid)
-        if ret is not None and ret != lid:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +359,8 @@ def _atom(
 
 
 class _Chain:
-    """A torus family extended across regular levels; becomes one edge
-    carrying the regime of its first band."""
+    """A torus family, extended across each level where a regime above
+    collapses onto it; one edge carrying the regime of its first band."""
 
     __slots__ = ("first", "regime", "lo_atom", "hi_atom")
 
@@ -379,13 +375,15 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
     """Assemble the atoms at every critical level and the torus families
     joining them.
 
-    Torus families (chains) extend across consistent leaf-boundary levels
-    by reflection state: below b a family keeps its winding sign, so it
-    continues as the regime of the next band that holds its first
-    reflection state.  Families start on A atoms where the boundary flow
-    appears and terminate on atoms at grazing-singular levels, at lam = b
-    (matched to major-axis bounce orbits by their reflection classes) and at
-    lam = a (matched to minor-axis orbits including the half-plane sign).
+    One rule decides every leaf-boundary level e.  A regime of the band
+    above e, with its events on e deleted and rotated as
+    ``enumerate_regimes`` rotates a cycle, is the torus it collapses onto.
+    With no reflection left, its family starts on an A atom (boundary flow);
+    when a torus family (chain) of the band below has that cycle, the family
+    continues.  Every other family, below or above, ends or starts on e's
+    grazing atom of its orientation.  Families terminate at lam = b (matched
+    to major-axis bounce orbits by their reflection classes) and at lam = a
+    (matched to minor-axis orbits including the half-plane sign).
     """
     fam = book.family
     levels = critical_levels(book)
@@ -415,41 +413,31 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
     def orient_label(o: int) -> str:
         return "ccw" if o > 0 else "cw"
 
-    # Leaf-boundary levels, outermost first.  No family is open at the
-    # outermost one and it is never inconsistent, so every regime of the
-    # first band starts at an A atom there.
-    open_chains: list[_Chain] = []
+    # Leaf-boundary levels, outermost first, each by the collapse rule above.
+    # The families open in the band below e, by their regime's key there:
+    families: dict[tuple, _Chain] = {}
     for k in range(m - 2):
         e = levels[k]
-        new_open: list[_Chain] = []
-        if not _level_inconsistent(book, e):
-            above_index = {
-                st.key(): idx for idx, r in enumerate(regs[k]) for st in r.reflection_states
-            }
-            used: set[int] = set()
-            for chain in open_chains:
-                ridx = above_index.get(chain.regime.reflection_states[0].key())
-                if ridx is None or ridx in used:
-                    add_atom(_atom(e, 0, 1, "unmatched continuation"), ins=[chain])
-                    continue
-                used.add(ridx)
-                chain.regime = regs[k][ridx]
-                new_open.append(chain)
-            for ridx, r in enumerate(regs[k]):
-                if ridx not in used:
-                    desc = f"boundary flow on C{e:g} ({orient_label(r.orientation)})"
-                    new_open += add_atom(_atom(e, 1, 1, desc), outs=[r])
-        else:
-            groups: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
-            for chain in open_chains:
-                groups[chain.regime.orientation][0].append(chain)
-            for r in regs[k]:
-                groups[r.orientation][1].append(r)
-            for o in sorted(groups):
-                ins, outs = groups[o]
-                desc = f"grazing circle on C{e:g} ({orient_label(o)})"
-                new_open += add_atom(_atom(e, 1, len(ins) + len(outs), desc), ins, outs)
-        open_chains = new_open
+        waiting, families = families, {}
+        grazing: dict[int, tuple[list, list]] = defaultdict(lambda: ([], []))
+        for key, r in regs[k]:
+            kept = [(s, sk) for s, sk in zip(r.states, key) if not _same(s.ellipse, e)]
+            rotated = _least_rotation(kept) if len(kept) < len(key) else (r.states, key)
+            if rotated is None:
+                desc = f"boundary flow on C{e:g} ({orient_label(r.orientation)})"
+                families[key], = add_atom(_atom(e, 1, 1, desc), outs=[r])
+            elif (chain := waiting.pop(rotated[1], None)) is not None:
+                chain.regime, families[key] = r, chain
+            else:
+                grazing[r.orientation][1].append((key, r))
+        for chain in waiting.values():
+            grazing[chain.regime.orientation][0].append(chain)
+        for o in sorted(grazing):
+            ins, outs = grazing[o]
+            desc = f"grazing circle on C{e:g} ({orient_label(o)})"
+            opened = add_atom(_atom(e, 1, len(ins) + len(outs), desc), ins, [r for _, r in outs])
+            families.update(zip((key for key, _ in outs), opened))
+    open_chains = list(families.values())
 
     # lam = b: the major-axis bounce circles join the last elliptic and the
     # hyperbolic families with the same unsigned reflection classes into
@@ -461,7 +449,7 @@ def build_fomenko_graph(book: BilliardBook) -> FomenkoGraph:
     major = _bounce_circles(book, table[1], "x")
     minor = [CriticalCircle("y", c.reflections) for c in major]
     for lam, circles, signed, regimes, unmatched in (
-        (fam.b, major, False, regs[m - 2], "no critical circle matched"),
+        (fam.b, major, False, [r for _, r in regs[m - 2]], "no critical circle matched"),
         (fam.a, minor, True, [], "no minor-axis orbit matched"),
     ):
         key_groups: dict[frozenset, tuple[list, list, list]] = defaultdict(lambda: ([], [], []))
@@ -504,8 +492,8 @@ def classify_singular_level(book: BilliardBook, lam: float) -> list[FomenkoAtom]
 # ---------------------------------------------------------------------------
 
 def _atom_rank_keys(graph: FomenkoGraph) -> list[tuple[int, str]]:
-    lams = sorted({round(a.lam, 9) for a in graph.atoms})
-    return [(lams.index(round(a.lam, 9)), a.type) for a in graph.atoms]
+    rank = {lam: k for k, lam in enumerate(sorted({a.lam for a in graph.atoms}))}
+    return [(rank[a.lam], a.type) for a in graph.atoms]
 
 
 def _edge_multiset(graph: FomenkoGraph, mapping: dict[int, int] | None = None) -> Counter:
@@ -631,10 +619,18 @@ def graphs_isomorphic(g1: FomenkoGraph, g2: FomenkoGraph) -> bool:
 
 def to_dot(graph: FomenkoGraph) -> str:
     """Deterministic DOT rendering: vertices ``type@lambda``, edges labelled
-    by their caustic interval."""
+    by their caustic interval.  Atoms are numbered by (lam, type,
+    description), ties broken by the sorted (caustic interval, first state
+    key) of the edges at each atom, so the text does not depend on the order
+    the atoms are listed in."""
+    ends: list[list] = [[] for _ in graph.atoms]
+    for i, j, r in graph.edges:
+        for atom_idx in {i, j}:
+            ends[atom_idx].append((r.caustic_interval, r.states[0].key()))
     order = sorted(
         range(len(graph.atoms)),
-        key=lambda i: (graph.atoms[i].lam, graph.atoms[i].type, graph.atoms[i].description),
+        key=lambda i: (graph.atoms[i].lam, graph.atoms[i].type, graph.atoms[i].description,
+                       sorted(ends[i])),
     )
     names = {atom_idx: f"n{pos}" for pos, atom_idx in enumerate(order)}
     lines = ["graph fomenko {"]

@@ -25,9 +25,15 @@ The circle hashes cover ``axis_bounce_circles`` on both axes, which
 orbit starts from.  They were recorded the same way, on the library as it
 was before the bounce map became a walk over leaf vertices.
 
-ROADMAP item 1 (atom assembly at grazing levels) will change some rows on
-purpose: compiled books whose graphs have ``Unknown`` atoms at a glued
-ellipse.  That change must list each row it alters, with the reason.
+Four compiled rows of the DOT and regime hashes were recorded again when
+every leaf-boundary level came to be decided by one collapse rule (ROADMAP
+item 1, step 1): (0, 3.2, 0, 2.4, 1.6, 3.2), (1.6, 3.2, 0, 1.6, 0, 1.6,
+3.2), (0.8, 3.2, 0, 1.6, 0.8, 2.4, 1.6) and (3.2, 0, 3.2, 2.4, 0.8, 1.6,
+2.4, 1.6).  Each had an ``Unknown`` atom at a level whose grazing chains do
+not all return, where families used to be lumped into one atom per
+orientation.  Every other row is as first recorded.  Item 1's step 2 (circle
+counts) will change rows that still hold an ``Unknown`` atom; such a change
+must list each row it alters, with the reason.
 """
 
 import hashlib
@@ -91,19 +97,19 @@ COMPILED_HASHES = [
     ((0.8, 3.2, 2.4, 1.6, 0.0, 3.2), (1, -1, 1, 1, 1, -1),
      '8545ad5e4652bbfab2e3ddac1f92ff46486ca6ffe73056f90e839e45afe20be8'),
     ((0.0, 3.2, 0.0, 2.4, 1.6, 3.2), (1, 1, 1, -1, 1, 1),
-     '69850b03285aa9a36a115de1b41792358ba71612fffe9a731b3f3c6b5617bfba'),
+     '68110e50599b602725915e5c3978f97839e651b20c5f562e6b26547696ca945c'),
     ((0.8, 0.0, 1.6, 2.4, 0.0, 2.4, 1.6), (1, 1, 1, 1, 1, -1, 1),
      '880e1f30b4321f57cd3f6355bc898532c83fa6bc21fa17cc9c5c341aef1da462'),
     ((1.6, 3.2, 0.0, 1.6, 0.0, 1.6, 3.2), (1, 1, 1, 1, 1, 1, -1),
-     '4882376ae50ead04bfdc67ec960804434300ed374751e83df67aa1cce60347af'),
+     '72afe71b8062be694346d6d27d2b444ac033514b2f59550f875f84f20f599735'),
     ((0.8, 3.2, 0.0, 1.6, 0.8, 2.4, 1.6), (1, 1, 1, -1, 1, 1, 1),
-     '40e47f10bde7566d89be7ea701847507eb6330da6b962492dd232a977c09c079'),
+     'acf1b3d72de9dbb7dca0e06d718205baeee2de3af17b14ad15af4004436d5b68'),
     ((2.4, 3.2, 2.4, 1.6, 3.2, 2.4, 0.0, 0.8), (1, 1, 1, 1, 1, 1, 1, 1),
      '376612cb84ab388fb3d03005a66b7b72edd525278f856cb6284bcc46eadcf7c5'),
     ((3.2, 0.8, 0.0, 2.4, 3.2, 0.8, 3.2, 0.8), (-1, 1, 1, 1, -1, 1, 1, 1),
      '5b96359613086ce68b0f83edf0290258f25d8f156242b99f871f31ec1bff5bbb'),
     ((3.2, 0.0, 3.2, 2.4, 0.8, 1.6, 2.4, 1.6), (1, 1, -1, 1, 1, 1, 1, 1),
-     '35d1b2c135f5157fedba60a0094dbe8b9d1768ce3895406347febf1c3ccffc8c'),
+     'f6445a1c4b77132b39f3995c58b251113aaf9060a464e493a84c70211c1ff77b'),
 ]
 
 CATALOG_REGIME_HASHES = {
@@ -150,19 +156,19 @@ COMPILED_REGIME_HASHES = [
     ((0.8, 3.2, 2.4, 1.6, 0.0, 3.2), (1, -1, 1, 1, 1, -1),
      '8cbee434036605469d05bef28b6383157a454a699a58a8a8192f94664b115448'),
     ((0.0, 3.2, 0.0, 2.4, 1.6, 3.2), (1, 1, 1, -1, 1, 1),
-     '1c3bb24e4285e871b40389b49b0c6c0906451157fc77c953ac2057e93a36ab14'),
+     '91c0e3d8de86ac84d688435639ba8cfc0641df5f60d06b29786d6ec19d76ec9b'),
     ((0.8, 0.0, 1.6, 2.4, 0.0, 2.4, 1.6), (1, 1, 1, 1, 1, -1, 1),
      'ec1b5c2894f5e05ff03b7c32d25d4bb4e3b924801764fa2582431dc3b4d59342'),
     ((1.6, 3.2, 0.0, 1.6, 0.0, 1.6, 3.2), (1, 1, 1, 1, 1, 1, -1),
-     '21907776248d348bbf2bcf77552553be48517550734efbb8c03889b0d3b45b32'),
+     '5476acd781a1e7c14082a5fd628d13c69855f5a19232631f8169161ba8989168'),
     ((0.8, 3.2, 0.0, 1.6, 0.8, 2.4, 1.6), (1, 1, 1, -1, 1, 1, 1),
-     '857d26ec1c7b947a675fa1b46d1a3a0b495cd1b718b84826f54cf6e49451c79d'),
+     '079cc3d3ade6d28823d1bc058c0373b6ff9233a9ebd3bb70f028c6e7bf015dc8'),
     ((2.4, 3.2, 2.4, 1.6, 3.2, 2.4, 0.0, 0.8), (1, 1, 1, 1, 1, 1, 1, 1),
      '1988ae6e3a326da003fa2f9ba97d05e408615d595232d6f391c8655533b1bc07'),
     ((3.2, 0.8, 0.0, 2.4, 3.2, 0.8, 3.2, 0.8), (-1, 1, 1, 1, -1, 1, 1, 1),
      '607eb6c120cea106937452026206b2816239a03196ebf3f1259bca5608bb56f5'),
     ((3.2, 0.0, 3.2, 2.4, 0.8, 1.6, 2.4, 1.6), (1, 1, -1, 1, 1, 1, 1, 1),
-     '2ed62b25e57120dc0b530bd141f8119888e860003083f235ba62c8a98a0bd842'),
+     'ea38ff89f7adacdc86d6645c0e1ed11ba490598c00615190d1ccb0f3291649d7'),
 ]
 
 

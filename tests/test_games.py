@@ -370,6 +370,19 @@ def test_sample_without_a_start_fails_at_index_0(family):
     assert verify_realization(off, samples=4) == [(0, 0), (1, 0), (2, 0), (3, 0)]
 
 
+def test_a_trace_that_ends_short_fails_at_its_length(family, monkeypatch):
+    # a flow that ends, or runs out of its event budget, before the last
+    # reflection fails its sample at the number of reflections it gave
+    rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
+    real = games.sample_trace
+
+    def short(book, state, need, budget):
+        return real(book, state, need, budget)[:5]
+
+    monkeypatch.setattr(games, "sample_trace", short)
+    assert verify_realization(rep, samples=3, seed=1) == [(0, 5), (1, 5), (2, 5)]
+
+
 def test_verify_refuses_negative_sample_counts(family):
     # no samples is no check; a negative count is an error, not a vacuous pass
     rep = compile_simple(game(family, (0.0, 2.0), (1, 1)))

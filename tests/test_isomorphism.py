@@ -23,8 +23,8 @@ from test_games import random_valid_game
 
 
 def rank_keys(graph):
-    lams = sorted({round(a.lam, 9) for a in graph.atoms})
-    return [(lams.index(round(a.lam, 9)), a.type) for a in graph.atoms]
+    lams = sorted({a.lam for a in graph.atoms})
+    return [(lams.index(a.lam), a.type) for a in graph.atoms]
 
 
 def oracle(g1, g2):
@@ -101,6 +101,12 @@ def test_atom_labels_tell_graphs_apart():
     assert not oracle(a_b, a_a)
     assert not graphs_isomorphic(a_b, a_a)
     assert not graphs_isomorphic(a_a, a_b)
+    # levels that differ in their ninth decimal place only still rank apart:
+    # an A atom below a B atom is not a B atom below an A atom
+    a_below = graph_from_census([(1e-11, "A"), (2e-11, "B")], [(0, 1)])
+    b_below = graph_from_census([(2e-11, "A"), (1e-11, "B")], [(0, 1)])
+    assert not oracle(a_below, b_below)
+    assert not graphs_isomorphic(a_below, b_below)
 
 
 def test_empty_graphs_are_isomorphic():
@@ -143,6 +149,13 @@ def test_self_loops_count():
     rng = np.random.default_rng(2)
     for graph in (loop_on_a, loop_on_b):
         assert graphs_isomorphic(graph, relabel(graph, rng))
+    # three equal atoms that refinement cannot split (each has one neighbour,
+    # itself or another): the search must not map the looped atom 0 of the
+    # first onto the unlooped atom 0 of the second
+    loop_first = graph_from_census([(0.0, "B")] * 3, [(0, 0), (1, 2)])
+    loop_last = graph_from_census([(0.0, "B")] * 3, [(0, 1), (2, 2)])
+    assert oracle(loop_first, loop_last)
+    assert graphs_isomorphic(loop_first, loop_last)
     for _ in range(40):
         graph = random_regular(rng, 6, 4)
         assert_agrees(graph, relabel(rewire(graph, rng), rng))

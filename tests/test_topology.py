@@ -457,38 +457,25 @@ def test_to_dot_deterministic(books):
     assert text.count(" -- ") == 4
 
 
-# Rows whose graphs hold two atoms with equal (lam, type, description) that
-# to_dot orders by list position, e.g. the two C2 atoms at lam = 4 of the
-# first row, which swap their n8/n9 edges.
-_DOT_ORDER_DEFECT = {
-    ((3.2, 1.6), (-1, 1)),
-    ((0.8, 0.0), (-1, 1)),
-    ((1.6, 0.0, 1.6, 0.8), (-1, 1, -1, 1)),
-    ((2.4, 3.2, 1.6, 3.2), (1, -1, 1, -1)),
-}
-
-
-@pytest.mark.parametrize(
-    "betas, signature",
-    [
-        pytest.param(
-            betas, sig,
-            id=f"{','.join(map(str, betas))}/{','.join(map(str, sig))}",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="to_dot breaks ties between equal atoms by list position "
-                "(ROADMAP item 5: canonical order for to_dot)",
-            ) if (betas, sig) in _DOT_ORDER_DEFECT else (),
-        )
-        for betas, sig, _ in COMPILED_HASHES
-    ],
-)
-def test_to_dot_ignores_atom_order(betas, signature):
-    # swapping two atoms that share (lam, type, description) relabels the
-    # graph, so its DOT text must not change
+def _dot_order_books():
+    """The compiled golden books, then 100 random glued books.  Many of their
+    graphs hold atoms equal in (lam, type, description), such as the two C2
+    atoms at lam = 4 of the first compiled row."""
     from billiard_books import OrderedGame
 
-    graph = build_fomenko_graph(compile_simple(OrderedGame(FIXTURE_FAMILY, betas, signature)).book)
+    for betas, sig, _ in COMPILED_HASHES:
+        book = compile_simple(OrderedGame(FIXTURE_FAMILY, betas, sig)).book
+        yield f"{','.join(map(str, betas))}/{','.join(map(str, sig))}", book
+    rng = np.random.default_rng(30)
+    for k in range(100):
+        yield f"glued{k}", random_glued_book(FIXTURE_FAMILY, rng)
+
+
+@pytest.mark.parametrize("book", [pytest.param(b, id=i) for i, b in _dot_order_books()])
+def test_to_dot_ignores_atom_order(book):
+    # swapping two atoms that share (lam, type, description) relabels the
+    # graph, so its DOT text must not change
+    graph = build_fomenko_graph(book)
     text = to_dot(graph)
     first_of: dict[tuple, int] = {}
     for j, atom in enumerate(graph.atoms):
@@ -502,30 +489,33 @@ def test_to_dot_ignores_atom_order(betas, signature):
         assert to_dot(FomenkoGraph(atoms, edges)) == text, (i, j)
 
 
+def assert_bands_and_atoms(book, graph, tag):
+    """Every regime of every band is carried by exactly one edge whose
+    interval covers the band, the band's regimes split its reflection
+    states, and every classified atom has as many edges as its type holds."""
+    levels = critical_levels(book)
+    for lo, hi in zip(levels, levels[1:]):
+        regimes = enumerate_regimes(book, (lo + hi) / 2)
+        states = [s.key() for r in regimes for s in r.reflection_states]
+        every = [s.key() for s in reflection_states(book, (lo + hi) / 2)]
+        assert sorted(states) == sorted(every), (tag, lo)
+        keys = [r.key() for r in regimes]
+        assert keys == sorted(keys), (tag, lo)
+        covering = [
+            r for _, _, r in graph.edges
+            if r.caustic_interval[0] <= lo and hi <= r.caustic_interval[1]
+        ]
+        assert len(covering) == len(keys), (tag, lo, hi)
+        starting = [r.key() for r in covering if r.caustic_interval[0] == lo]
+        assert len(set(starting)) == len(starting) and set(starting) <= set(keys), (tag, lo)
+    for atom, deg in zip(graph.atoms, graph.degrees()):
+        if atom.type != "Unknown":
+            assert deg == ATOM_EDGE_CAPACITY[atom.type], (tag, atom, deg)
+
+
 def test_random_books_conserve_regimes_and_fill_atoms(family):
-    # every regime of every band is carried by exactly one edge whose
-    # interval covers the band, the band's regimes split its reflection
-    # states, and every classified atom has as many edges as its type holds
     rng = np.random.default_rng(3)
     for _ in range(40):
         game = random_valid_game(family, rng, int(rng.integers(2, 9)))
         book = compile_simple(game).book
-        graph = build_fomenko_graph(book)
-        levels = critical_levels(book)
-        for lo, hi in zip(levels, levels[1:]):
-            regimes = enumerate_regimes(book, (lo + hi) / 2)
-            states = [s.key() for r in regimes for s in r.reflection_states]
-            every = [s.key() for s in reflection_states(book, (lo + hi) / 2)]
-            assert sorted(states) == sorted(every), (game, lo)
-            keys = [r.key() for r in regimes]
-            assert keys == sorted(keys), (game, lo)
-            covering = [
-                r for _, _, r in graph.edges
-                if r.caustic_interval[0] <= lo and hi <= r.caustic_interval[1]
-            ]
-            assert len(covering) == len(keys), (game, lo, hi)
-            starting = [r.key() for r in covering if r.caustic_interval[0] == lo]
-            assert len(set(starting)) == len(starting) and set(starting) <= set(keys), (game, lo)
-        for atom, deg in zip(graph.atoms, graph.degrees()):
-            if atom.type != "Unknown":
-                assert deg == ATOM_EDGE_CAPACITY[atom.type], (game, atom, deg)
+        assert_bands_and_atoms(book, build_fomenko_graph(book), game)
