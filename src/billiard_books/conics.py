@@ -6,8 +6,9 @@ Everything here is scalar float geometry for the family
 
 whose members are ellipses for lam < b, hyperbolae for b < lam < a and
 degenerate segments for lam in {b, a}.  The module provides classification,
-line/conic intersection, the standard reflection law, and the tangency
-invariant that is conserved by billiard motion.
+line/conic intersection, the standard reflection law, the tangency invariant
+that is conserved by billiard motion, and the directions with a given value
+of it, read from the elliptic coordinates of the point.
 """
 
 from __future__ import annotations
@@ -201,37 +202,32 @@ def project_to_conic(
 def directions_with_caustic(
     family: ConfocalFamily, px: float, py: float, lam: float
 ) -> list[tuple[float, float]]:
-    """All unit directions v at (px, py) with caustic_parameter == lam.
+    """All unit directions v at (px, py) with caustic_parameter == lam,
+    sorted by angle for determinism.
 
-    There are at most four (two tangent lines through the point, two
-    orientations each); the list is sorted by angle for determinism.
+    caustic_parameter is the form v^T M v with M = [[b - y^2, xy],
+    [xy, a - x^2]], whose eigenvalues l1 <= l2 are the elliptic coordinates
+    of the point and whose unit eigenvectors u1, u2 are the tangents of the
+    confocal conics through it.  So c u1 + s u2 has caustic l1 c^2 + l2 s^2,
+    and the directions are +-c u1 +- s u2 with c^2 = (l2 - lam)/(l2 - l1),
+    s^2 = (lam - l1)/(l2 - l1): four inside [l1, l2], two at an end of it
+    (also at a focus, where l1 = l2) and none outside it or for a NaN.
     """
-    P = family.a - px * px
-    Q = family.b - py * py
-    R = 2.0 * px * py
-    # (P - lam) s^2 + R c s + (Q - lam) c^2 = 0 for v = (c, s).
-    dirs: list[tuple[float, float]] = []
-    a2 = P - lam
-    if abs(a2) < 1e-14:
-        dirs.extend([(0.0, 1.0), (0.0, -1.0)])
-        if abs(R) > 1e-14:
-            m = -(Q - lam) / R
-            n = math.hypot(1.0, m)
-            dirs.extend([(1.0 / n, m / n), (-1.0 / n, -m / n)])
-    else:
-        disc = R * R - 4.0 * a2 * (Q - lam)
-        if not disc >= 0.0:  # a NaN caustic admits no direction either
-            return []
-        s = math.sqrt(disc)
-        for m in ((-R + s) / (2.0 * a2), (-R - s) / (2.0 * a2)):
-            n = math.hypot(1.0, m)
-            dirs.extend([(1.0 / n, m / n), (-1.0 / n, -m / n)])
-    uniq: list[tuple[float, float]] = []
-    for v in dirs:
-        if all(math.hypot(v[0] - u[0], v[1] - u[1]) > 1e-9 for u in uniq):
-            uniq.append(v)
-    uniq.sort(key=lambda v: math.atan2(v[1], v[0]))
-    return uniq
+    p, q, r = family.b - py * py, family.a - px * px, px * py
+    mid, h = 0.5 * (p + q), math.hypot(0.5 * (q - p), r)
+    l1, l2 = mid - h, mid + h
+    if not l1 <= lam <= l2:  # a NaN caustic admits no direction either
+        return []
+    theta = 0.5 * math.atan2(2.0 * r, p - q)  # u2 = (cos, sin), u1 = (-sin, cos)
+    cos, sin = math.cos(theta), math.sin(theta)
+    w = l2 - l1  # 0 only at a focus, where lam == l1 skips the division
+    c, s = (math.sqrt((l2 - lam) / w), math.sqrt((lam - l1) / w)) if lam > l1 else (1.0, 0.0)
+    cx, cy, sx, sy = -c * sin, c * cos, s * cos, s * sin
+    dirs = [(cx + sx, cy + sy), (-cx - sx, -cy - sy)]
+    if c and s:  # inside (l1, l2) the two tangent lines differ
+        dirs += [(cx - sx, cy - sy), (sx - cx, sy - cy)]
+    dirs.sort(key=lambda v: math.atan2(v[1], v[0]))
+    return dirs
 
 
 def winding_sign(px: float, py: float, vx: float, vy: float) -> int:

@@ -7,7 +7,10 @@ exception table in ``cli.main``; a change that alters any of them changes
 what the CLI computes or writes, not only how it refuses input.  The two
 ``simulate --caustic`` lines and their CSV and SVG files were recorded again
 when the start sampler moved from numpy's generator to ``random.Random``,
-which draws another start point for the same seed.
+which draws another start point for the same seed.  The same two lines and
+their CSV files were recorded again when ``directions_with_caustic`` moved
+to the point's elliptic-coordinate frame: the start moved in its last
+digits, every CSV row kept its events, and the SVG files did not change.
 """
 
 import hashlib
@@ -53,8 +56,8 @@ GOLDEN_RUNS = [
     (0, "samples=6 mismatches=0\n"),
     (0, "samples=4 mismatches=0\n"),
     (6, ""),
-    (0, "caustic=6.000000000000002 drift=5.151e-14 events=200\n"),
-    (0, "caustic=3.8000000000000007 drift=2.132e-14 events=120\n"),
+    (0, "caustic=6.0 drift=2.931e-14 events=200\n"),
+    (0, "caustic=3.8000000000000016 drift=3.286e-14 events=120\n"),
     (0, "caustic=1.160000000000001 drift=6.528e-14 events=100\n"),
     (4, "caustic=1.9999999999999996 drift=0.000e+00 events=0\n"),
     (0, "A:4 C2:1\n"),
@@ -69,12 +72,12 @@ GOLDEN_FILES = {
     "pair.book.json": "22871ca7c4859a08d54e35ec6d967e127399568805f03c6070de6b40bc8e0646",
     "posvel.csv": "58ceacdf69cbd16d8ac80404fb594a97705104f423c989c4629970cf109d2ba1",
     "repeat.book.json": "fca8aaa94982c674ddaf4948b6e1d2bd84addb921979d0049f1e93fd5df507fd",
-    "repeat.csv": "24c3f944cbef1fef24001b4b1cde238791a698d2eda2a65f83d7979f91ab6078",
+    "repeat.csv": "859e0bc1b87e349b814405c5d30018c3f1187b7fd5cf653cf2c43ec5d9f5d909",
     "repeat.dot": "6e1d859cb7c97c8e6e79fefa5cd7373c38ad4ce39ad4f47e56b9904e2d8ee9fc",
     "repeat.svg": "ab1dc091362d917ff0f32f90a8f45324eb50b00e28593cd44f2f95d0330442c8",
     "singular.csv": "19c14771a909a0bbbf05418079d287055c353e88514f617f2dd88e99b0a02500",
     "triple.book.json": "d32817407de1e2536d6650850df1b0f00b9710a0672e94d957bdb2dc96fa9510",
-    "triple.csv": "9f6f7ffe207816db20da411fca3d376ec635b194e8700fb73dabe637a7755db3",
+    "triple.csv": "6356beee40c1419e485cde02512556217672a8e4474f3fa09348e5bd2ab478bb",
     "triple.svg": "ca324fd023bbb5e4346828b1a598cdfc82938dbdb000f077ea4bbe708f553dc5",
 }
 

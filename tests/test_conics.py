@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from billiard_books import (
+    ConfocalFamily,
     ConicKind,
     DegenerateConic,
     EmptyConic,
@@ -168,18 +169,108 @@ def test_directions_with_caustic_roundtrip(family):
             continue
         for vx, vy in directions_with_caustic(family, px, py, lam):
             assert math.hypot(vx, vy) == pytest.approx(1.0, abs=1e-12)
-            assert caustic_parameter(family, px, py, vx, vy) == pytest.approx(lam, abs=1e-9)
+            assert caustic_parameter(family, px, py, vx, vy) == pytest.approx(lam, abs=1e-13)
 
 
 def test_directions_with_caustic_include_the_vertical(family):
-    # at px = 1 the caustic a - 1 = 8 makes the quadratic in the slope
-    # degenerate: the vertical direction and one slope remain
+    # at px = 1 the caustic a - 1 = 8 is met by the vertical direction, so two
+    # of the four directions have vx within rounding of 0
     dirs = directions_with_caustic(family, 1.0, 1.0, 8.0)
-    assert (0.0, 1.0) in dirs and (0.0, -1.0) in dirs
     assert len(dirs) == 4
+    assert sum(abs(vx) <= 1e-15 for vx, _ in dirs) == 2
     for vx, vy in dirs:
         assert math.hypot(vx, vy) == pytest.approx(1.0, abs=1e-12)
         assert caustic_parameter(family, 1.0, 1.0, vx, vy) == pytest.approx(8.0, abs=1e-12)
+
+
+def test_directions_at_an_elliptic_coordinate_are_two(family):
+    # (11 - sqrt 29) / 2 is the smaller elliptic coordinate of (1, 1): the two
+    # tangent lines coincide, so there is one line with its two orientations
+    # (the slope quadratic returned two near-equal pairs, 5e-9 apart)
+    lam = (11.0 - math.sqrt(29.0)) / 2.0
+    dirs = directions_with_caustic(family, 1.0, 1.0, lam)
+    assert len(dirs) == 2
+    assert dirs[0] == (-dirs[1][0], -dirs[1][1])
+    for vx, vy in dirs:
+        assert abs(caustic_parameter(family, 1.0, 1.0, vx, vy) - lam) <= 1e-13
+
+
+def test_directions_at_a_focus():
+    # at the focus (1, 0) of the family (5, 4) both elliptic coordinates are
+    # b = 4, where the frame's weights would read 0/0: its u1 is kept, the
+    # vertical the slope quadratic also gave, and any other caustic has none
+    fam = ConfocalFamily(5.0, 4.0)
+    assert directions_with_caustic(fam, 1.0, 0.0, 4.0) == [(0.0, -1.0), (0.0, 1.0)]
+    assert directions_with_caustic(fam, 1.0, 0.0, 3.5) == []
+    assert directions_with_caustic(fam, 1.0, 0.0, 4.5) == []
+
+
+def slope_directions(family, px, py, lam):
+    """The slope quadratic ``directions_with_caustic`` solved before it
+    used the elliptic-coordinate frame, kept as an oracle: its directions
+    are off by up to about 7e-10 where the slope is ill-conditioned."""
+    P = family.a - px * px
+    Q = family.b - py * py
+    R = 2.0 * px * py
+    # (P - lam) s^2 + R c s + (Q - lam) c^2 = 0 for v = (c, s).
+    dirs = []
+    a2 = P - lam
+    if abs(a2) < 1e-14:
+        dirs.extend([(0.0, 1.0), (0.0, -1.0)])
+        if abs(R) > 1e-14:
+            m = -(Q - lam) / R
+            n = math.hypot(1.0, m)
+            dirs.extend([(1.0 / n, m / n), (-1.0 / n, -m / n)])
+    else:
+        disc = R * R - 4.0 * a2 * (Q - lam)
+        if not disc >= 0.0:
+            return []
+        s = math.sqrt(disc)
+        for m in ((-R + s) / (2.0 * a2), (-R - s) / (2.0 * a2)):
+            n = math.hypot(1.0, m)
+            dirs.extend([(1.0 / n, m / n), (-1.0 / n, -m / n)])
+    uniq = []
+    for v in dirs:
+        if all(math.hypot(v[0] - u[0], v[1] - u[1]) > 1e-9 for u in uniq):
+            uniq.append(v)
+    uniq.sort(key=lambda v: math.atan2(v[1], v[0]))
+    return uniq
+
+
+def elliptic_coordinates(family, px, py):
+    """The two roots l1 <= l2 of x^2/(a - l) + y^2/(b - l) = 1, cleared of
+    denominators: l^2 - (a + b - x^2 - y^2) l + ab - b x^2 - a y^2 = 0."""
+    half = 0.5 * (family.a + family.b - px * px - py * py)
+    prod = family.a * family.b - family.b * px * px - family.a * py * py
+    root = math.sqrt(max(half * half - prod, 0.0))
+    big = half + root if half >= 0.0 else half - root
+    return tuple(sorted((big, prod / big)))
+
+
+def test_directions_with_caustic_match_the_slope_oracle(family):
+    """Points inside the base ellipse, each with the caustic of a random
+    direction and with one within 1e-6 to 1e-12 of an elliptic coordinate:
+    the same count in the same angle order as the oracle, each direction
+    within 1e-9 of it, and a caustic residual of at most 1e-13."""
+    rng = np.random.default_rng(21)
+    cases = []
+    while len(cases) < 3000:
+        px, py = rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)
+        if family.conic_residual(0.0, px, py) >= 0.0:
+            continue
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        cases.append((px, py, caustic_parameter(family, px, py, math.cos(phi), math.sin(phi))))
+        l1, l2 = elliptic_coordinates(family, px, py)
+        eps = 10.0 ** rng.uniform(-12.0, -6.0)
+        cases.append((px, py, l1 + eps if rng.random() < 0.5 else l2 - eps))
+    for px, py, lam in cases:
+        got = directions_with_caustic(family, px, py, lam)
+        want = slope_directions(family, px, py, lam)
+        assert len(got) == len(want) == 4, (px, py, lam)
+        assert got == sorted(got, key=lambda v: math.atan2(v[1], v[0]))
+        for (vx, vy), (wx, wy) in zip(got, want):
+            assert math.hypot(vx - wx, vy - wy) <= 1e-9, (px, py, lam)
+            assert abs(caustic_parameter(family, px, py, vx, vy) - lam) <= 1e-13, (px, py, lam)
 
 
 def test_directions_with_nan_caustic_are_none(family):

@@ -14,6 +14,7 @@ import pytest
 
 from billiard_books import BilliardBook, ConfocalFamily, Leaf, PhaseState, Rule, step
 from billiard_books.conics import T_MIN, PointNotOnConic, ray_intersections
+from billiard_books.dynamics import EscapedLeaf
 
 from test_step_kernel import fresh, outcome, reference_step
 
@@ -61,3 +62,18 @@ def test_far_hit_on_a_hyperbola_wall_is_off_the_conic():
     assert seen == {Rule.R1, PointNotOnConic}
     with pytest.raises(PointNotOnConic, match=r"residual -7\.629e-06 at \(442411\.7"):
         step(book, PhaseState(2.0 * math.cosh(13) - 1.0, math.sinh(13), 1.0, 0.0, 1))
+
+
+def test_zero_root_without_a_graze_tolerance_is_no_hit():
+    """A family so small that the graze tolerance underflows to 0.0: at the
+    vertex of the outer wall, moving along its tangent, the discriminant is
+    exactly 0 but not grazing, so q = 0 and the wall's one root, 0, is
+    skipped before C / q divides by it; the ray hits nothing."""
+    fam = ConfocalFamily(9e-110, 4e-110)
+    assert 1e-9 * fam.a * (fam.a / 9.0) ** 2 == 0.0
+    book = BilliardBook(fam, (Leaf(1, 0.0),))
+    state = PhaseState(math.sqrt(fam.a), 0.0, 0.0, 1.0, 1)
+    assert ray_intersections(fam, 0.0, *state[:4]) == (0.0, (0.0,))
+    got = outcome(step, fresh(book), state)
+    assert got == (EscapedLeaf, "ray from (3e-55, 0) on leaf 1 hits no boundary")
+    assert got == outcome(reference_step, fresh(book), state)
