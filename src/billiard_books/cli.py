@@ -11,6 +11,7 @@ sets the code and the message of each exception type a command raises.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -192,6 +193,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # a lambda looks cmd_* up per call, so one replaced after the build runs
     ap = _Parser(prog="billiard-books", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -199,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("game", help="game JSON file")
     p.add_argument("--general", action="store_true", help="allow repeated consecutive ellipses")
     p.add_argument("--out", required=True, help="output book JSON")
-    p.set_defaults(func=cmd_compile)
+    p.set_defaults(func=lambda args: cmd_compile(args))
 
     p = sub.add_parser("simulate", help="run one trajectory on a book")
     p.add_argument("book", help="book JSON file")
@@ -213,12 +215,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", help="write a rendering here")
     p.add_argument("--layout", choices=("side-by-side", "overlay"), default="side-by-side")
     p.add_argument("--show-caustic", action="store_true")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=lambda args: cmd_simulate(args))
 
     p = sub.add_parser("fomenko", help="atom census and graph of a book")
     p.add_argument("book", help="book JSON file")
     p.add_argument("--dot", help="write the graph in DOT format here")
-    p.set_defaults(func=cmd_fomenko)
+    p.set_defaults(func=lambda args: cmd_fomenko(args))
 
     p = sub.add_parser("verify", help="check that a book realizes a game")
     p.add_argument("book", help="book JSON file")
@@ -226,8 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_count, default=20)
     p.add_argument("--seed", type=_count, default=0)
     p.add_argument("--start-leaf", type=int, help="leaf holding admissible starts (default: smallest id)")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=lambda args: cmd_verify(args))
     return ap
+
+
+# main's parser, built on its first call and kept: parsing leaves nothing in it
+_parser = functools.cache(build_parser)
 
 
 # Exit code and stderr line per exception type; the first matching row wins, so
@@ -242,7 +248,7 @@ _ERRORS = (
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except Exception as err:
         for types, code, fmt in _ERRORS:

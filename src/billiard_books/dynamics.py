@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
@@ -283,7 +284,10 @@ def simulate(
     singular level before ``max_events`` events; ``final`` is the state
     after the last event, or ``state`` when there is none.  The drift, the
     largest |caustic_parameter(event) - caustic| or 0.0, is computed inline.
+    Raises ValueError, before any event, for a ``max_events`` above sys.maxsize.
     """
+    if max_events > sys.maxsize:
+        raise ValueError(f"max_events must be at most {sys.maxsize}, got {max_events}")
     fam = book.family
     events_from = flow(book, state)
     caustic0 = caustic_parameter(fam, state.x, state.y, state.vx, state.vy)

@@ -1,5 +1,6 @@
 import csv
 import math
+import sys
 from itertools import islice
 
 import pytest
@@ -446,6 +447,15 @@ def test_flow_refuses_an_unknown_leaf():
         simulate(CATALOG["chain_six"](), state, 5)
     with pytest.raises(EscapedLeaf):
         flow(CATALOG["chain_six"](), state)
+
+
+@pytest.mark.parametrize("max_events", [sys.maxsize + 1, 10**20], ids=["maxsize+1", "1e20"])
+def test_simulate_refuses_too_many_events_before_any_event(max_events):
+    # the start is on a leaf the book does not have, so an event computed
+    # before the refusal would raise EscapedLeaf instead
+    state = PhaseState(0.1, 0.1, 1.0, 0.0, 99)
+    with pytest.raises(ValueError, match=f"^max_events must be at most {sys.maxsize}, got"):
+        simulate(CATALOG["chain_six"](), state, max_events)
 
 
 # two books that validate_book refuses, each with a wall whose transition
