@@ -70,7 +70,6 @@ from .topology import (
     CriticalLambda,
     FomenkoAtom,
     FomenkoGraph,
-    NoInnerLeaf,
     NotCritical,
     RegimeDescriptor,
     axis_bounce_circles,
@@ -79,8 +78,6 @@ from .topology import (
     critical_levels,
     enumerate_regimes,
     graphs_isomorphic,
-    grazing_probe_exits,
-    pass_through_return,
     to_dot,
 )
 

@@ -105,7 +105,9 @@ def glued_return_leaf(
     Returns the exit leaf id, or None when the outer leaf is not glued there
     (no inner sheet to traverse).  Each link is the leaf after at that leaf's
     wall on the ellipse in ``book._walls`` (NotABoundary when it has none):
-    the combinatorial core of the grazing-limit continuity test.
+    the combinatorial core of the grazing-limit continuity test.  Raises
+    BookError when the chain never leads back outside the ellipse, as on a
+    gluing that is not a permutation (which ``validate_book`` refuses).
     """
     walls, cur = book._walls[0], outer_leaf_id
     for k in range(len(book.leaves) + 1):
@@ -119,7 +121,7 @@ def glued_return_leaf(
         cur = leaf_after
         if boundary_side(book.leaf(cur), ellipse_param) is Side.OUTSIDE:
             return cur
-    raise BookError(f"gluing chain at {ellipse_param} does not exit")  # pragma: no cover
+    raise BookError(f"gluing chain at {ellipse_param} does not exit")
 
 
 def step(book: BilliardBook, state: PhaseState) -> tuple[PhaseState, TrajectoryEvent]:

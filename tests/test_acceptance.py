@@ -16,10 +16,8 @@ from billiard_books import (
     caustic_parameter,
     compile_simple,
     graphs_isomorphic,
-    grazing_probe_exits,
     leaf_count_bounds,
     make_book,
-    pass_through_return,
     reverse,
     simulate,
     tangency_oracle,
@@ -28,6 +26,7 @@ from billiard_books import (
 from billiard_books.dynamics import STATUS_OK, time_reversed_start
 from conftest import random_state
 from test_games import random_valid_game
+from _grazing import grazing_probe_exits, pass_through_return
 from _refs import (
     ref_graph_annulus_two_disks,
     ref_graph_chain_five,

@@ -25,7 +25,7 @@ from billiard_books import (
     trace_to_game,
     trajectory_csv,
 )
-from billiard_books.book import NotABoundary, transition, validate_book
+from billiard_books.book import BookError, NotABoundary, transition, validate_book
 from billiard_books.catalog import CATALOG
 from billiard_books.conics import directions_with_caustic
 from billiard_books.dynamics import (
@@ -617,3 +617,16 @@ def test_glued_return_leaf_refuses_an_ellipse_off_the_leaf(books):
     # C_1 bounds no leaf of the book, so leaf 1 has no wall there to follow
     with pytest.raises(NotABoundary, match=r"^1\.0 is not a boundary of leaf 1$"):
         glued_return_leaf(books["annulus_two_disks"], 1.0, 1)
+
+
+def test_glued_return_leaf_refuses_a_chain_that_does_not_exit():
+    # leaf 1 leads to disk 2, and disks 2 and 3 then lead to each other, never
+    # back outside C_2; two leaves map to 2, so validation refuses the book
+    book = BilliardBook(
+        ConfocalFamily(9, 4),
+        (annulus(1, 0.0, 2.0), disk(2, 2.0), disk(3, 2.0)),
+        (GluingPermutation(2.0, {1: 2, 2: 3, 3: 2}),),
+    )
+    assert [v.code for v in validate_book(book)] == ["NotBijective"]
+    with pytest.raises(BookError, match=r"^gluing chain at 2\.0 does not exit$"):
+        glued_return_leaf(book, 2.0, 1)

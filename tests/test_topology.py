@@ -6,7 +6,6 @@ import pytest
 
 from billiard_books import (
     CriticalLambda,
-    NoInnerLeaf,
     NotCritical,
     Rule,
     axis_bounce_circles,
@@ -17,9 +16,7 @@ from billiard_books import (
     disk,
     enumerate_regimes,
     graphs_isomorphic,
-    grazing_probe_exits,
     make_book,
-    pass_through_return,
     simulate,
     to_dot,
 )
@@ -34,6 +31,7 @@ from billiard_books.topology import (
     TopologyError,
 )
 
+from _grazing import NoInnerLeaf, grazing_probe_exits, pass_through_return
 import _stepped_regimes
 from _stepped_regimes import stepped_regimes
 from _vertex_reference import reflection_states

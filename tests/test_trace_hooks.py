@@ -98,3 +98,19 @@ def test_every_definition_is_read():
         if name not in reads and not name.startswith("__")
     ]
     assert unread == []
+
+
+def test_only_book_reads_a_gluing():
+    """A gluing is read (its map, an image under it, or the book's lookup of
+    it) in ``book`` alone; every other module asks ``book`` for the leaf a
+    wall leads to."""
+    gluing_reads = {"mapping", "image", "gluing_for", "gluings"}
+    readers = [
+        f"{path.name}:{node.lineno} {node.attr}"
+        for path in sorted((ROOT / "src" / "billiard_books").glob("*.py"))
+        if path.name != "book.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr in gluing_reads
+    ]
+    assert readers == []
