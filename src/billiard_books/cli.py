@@ -40,7 +40,7 @@ from .games import (
     verify_book,
 )
 from .games import compile_game as compile_general  # the name perfbench/spans.py hooks
-from .render import RenderSpec, save_svg, trajectory_svg
+from .render import RenderSpec, _refuse_oversized, save_svg, trajectory_svg
 from .topology import TopologyError, build_fomenko_graph, to_dot
 
 EXIT_OK = 0
@@ -95,6 +95,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     book = _load_valid_book(args.book)
+    if args.svg:
+        _refuse_oversized(book)  # before any event is run or any file written
     leaf_id = _leaf_or_smallest(book, args.leaf)
     if args.caustic is not None and (args.pos is not None or args.vel is not None):
         raise ValueError("give the start by --pos/--vel or by --caustic, not both")

@@ -1,8 +1,10 @@
 """SVG rendering of books and trajectories.
 
-Side-by-side layout draws every leaf in its own panel (annuli with a white
-hole) and splits the trajectory into per-leaf chords; overlay mode stacks
-everything in one frame and can show the caustic.  Output is plain SVG text,
+Every outline is a native SVG ellipse: a leaf's boundary, its hole (drawn in
+white) and, on request, the trajectory's elliptic caustic.  Side-by-side
+layout draws every leaf in its own panel and splits the trajectory into
+per-leaf chords; overlay mode stacks everything in one frame.  Either layout
+can show the caustic, once in every panel.  Output is plain SVG text,
 deterministic for fixed input.
 """
 
@@ -11,13 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .book import BilliardBook, Leaf
+from .book import BilliardBook
 from .dynamics import Trajectory
 
 MAX_LEAVES = 64
 _STROKE = 0.03  # outline width
 _MARGIN = 0.4  # space around and between panels
-_OUTLINE_SAMPLES = 128  # polygon points per ellipse outline
 
 
 @dataclass(frozen=True)
@@ -30,37 +31,31 @@ class RenderSpec:
             raise ValueError(f"unknown layout {self.layout!r}")
 
 
-# (cos th, sin th) at each outline sample, the last one closing the loop
-_UNIT_CIRCLE = tuple(
-    (math.cos(th), math.sin(th))
-    for th in (2.0 * math.pi * i / _OUTLINE_SAMPLES for i in range(_OUTLINE_SAMPLES + 1))
-)
-_OUTLINE = "M" + " L".join(["%.6g,%.6g"] * len(_UNIT_CIRCLE)) + " Z"
-_STROKE_TAIL = f'stroke-width="{_STROKE:.6g}"/>'
+_LEAF = 'fill="#dfe7f1" stroke="#30435f"'
+_HOLE = 'fill="#ffffff" stroke="#7c8aa5"'
+_CAUSTIC = 'fill="none" stroke="#b04a4a" stroke-dasharray="0.15,0.1"'
 
 
-def _ellipse_path(sx: float, sy: float, ox: float, oy: float) -> str:
-    return _OUTLINE % tuple(v for c, s in _UNIT_CIRCLE for v in (ox + sx * c, oy + sy * s))
+def _ellipse(book: BilliardBook, e: float, ox: float, oy: float, paint: str) -> str:
+    """The confocal ellipse of parameter ``e``, centred at (ox, oy)."""
+    sx, sy = book.family.semi_axes(e)
+    return (
+        f'<ellipse cx="{ox:.6g}" cy="{oy:.6g}" rx="{sx:.6g}" ry="{sy:.6g}" {paint} '
+        f'stroke-width="{_STROKE:.6g}"/>'
+    )
 
 
-def _leaf_paths(book: BilliardBook, leaf: Leaf, ox: float, oy: float) -> str:
-    fam = book.family
-    sx, sy = fam.semi_axes(leaf.outer)
-    outer = _ellipse_path(sx, sy, ox, oy)
-    parts = [f'<path d="{outer}" fill="#dfe7f1" stroke="#30435f" {_STROKE_TAIL}']
-    if leaf.inner is not None:
-        ix, iy = fam.semi_axes(leaf.inner)
-        inner = _ellipse_path(ix, iy, ox, oy)
-        parts.append(f'<path d="{inner}" fill="#ffffff" stroke="#7c8aa5" {_STROKE_TAIL}')
-    return "\n".join(parts)
+def _refuse_oversized(book: BilliardBook) -> None:
+    """Raise ValueError if the book has more leaves than a rendering draws."""
+    if len(book.leaves) > MAX_LEAVES:
+        raise ValueError(f"too many leaves to render ({len(book.leaves)} > {MAX_LEAVES})")
 
 
 def trajectory_svg(
     book: BilliardBook, traj: Trajectory | None = None, spec: RenderSpec = RenderSpec()
 ) -> str:
     """Render the book's leaves and, optionally, a trajectory over them."""
-    if len(book.leaves) > MAX_LEAVES:
-        raise ValueError(f"too many leaves to render ({len(book.leaves)} > {MAX_LEAVES})")
+    _refuse_oversized(book)
     fam = book.family
     sx0 = math.sqrt(fam.a)
     sy0 = math.sqrt(fam.b)
@@ -71,7 +66,11 @@ def trajectory_svg(
     offsets = {lf.id: (i * pitch if side_by_side else 0.0, 0.0) for i, lf in enumerate(leaves)}
     panels = list(dict.fromkeys(offsets.values()))
 
-    body = [_leaf_paths(book, lf, *offsets[lf.id]) for lf in leaves]
+    body = []
+    for lf in leaves:
+        body.append(_ellipse(book, lf.outer, *offsets[lf.id], _LEAF))
+        if lf.inner is not None:
+            body.append(_ellipse(book, lf.inner, *offsets[lf.id], _HOLE))
     labels = [
         f'<text x="{offsets[lf.id][0]:.6g}" y="{sy0 + _MARGIN * 0.75:.6g}" '
         f'font-size="{_MARGIN * 0.6:.6g}" text-anchor="middle" '
@@ -79,12 +78,7 @@ def trajectory_svg(
         for lf in leaves if side_by_side
     ]
     if spec.show_caustic and traj is not None and traj.caustic < fam.b:
-        cx, cy = fam.semi_axes(traj.caustic)
-        body += [
-            f'<path d="{_ellipse_path(cx, cy, ox, oy)}" fill="none" '
-            f'stroke="#b04a4a" stroke-dasharray="0.15,0.1" {_STROKE_TAIL}'
-            for ox, oy in panels
-        ]
+        body += [_ellipse(book, traj.caustic, ox, oy, _CAUSTIC) for ox, oy in panels]
     if traj is not None:
         # one chord per event, drawn on the leaf it runs in
         chord = (

@@ -36,6 +36,7 @@ def test_svg_side_by_side(books):
     assert svg.startswith("<svg ")
     assert svg.count("leaf ") == 3
     assert svg.count("<line ") == 25
+    assert svg.count("<ellipse ") == 4  # an annulus and its hole, two disks
     assert svg == trajectory_svg(book, traj)  # deterministic
 
 
@@ -57,6 +58,19 @@ def test_svg_refuses_oversized_book(family):
     book = make_book(family, leaves, [(2.0, [list(range(1, 66))])])
     with pytest.raises(ValueError):
         trajectory_svg(book)
+
+
+def test_simulate_refuses_an_oversized_svg_before_writing(family, tmp_path, capsys):
+    # refused right after loading, so no event is run and neither file is written
+    book = make_book(family, [disk(i, 2.0) for i in range(1, 66)], [(2.0, [list(range(1, 66))])])
+    path = tmp_path / "large.json"
+    path.write_text(dumps_book(book))
+    csv, svg = tmp_path / "c.csv", tmp_path / "s.svg"
+    argv = ["simulate", str(path), "--pos=0,0", "--vel", "1,0.3", "--events", "500",
+            "--csv", str(csv), "--svg", str(svg)]
+    assert main(argv) == 3
+    assert "too many leaves to render (65 > 64)" in capsys.readouterr().err
+    assert not csv.exists() and not svg.exists()
 
 
 # --- CLI ------------------------------------------------------------------------
