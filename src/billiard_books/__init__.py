@@ -10,7 +10,6 @@ from .book import (
     GluingPermutation,
     Leaf,
     SchemaError,
-    Side,
     Violation,
     annulus,
     boundary_side,

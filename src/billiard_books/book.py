@@ -40,11 +40,6 @@ class SchemaError(BookError):
     """Malformed book/game JSON; message carries the offending path."""
 
 
-class Side(Enum):
-    WITHIN = "Within"
-    OUTSIDE = "Outside"
-
-
 class Rule(Enum):
     R1 = "R1"  # plain wall reflection, same leaf
     R2 = "R2"  # reflection onto the image leaf (same side)
@@ -89,12 +84,13 @@ def annulus(leaf_id: int, lam_outer: float, lam_inner: float) -> Leaf:
     return Leaf(leaf_id, lam_outer, lam_inner)
 
 
-def boundary_side(leaf: Leaf, ellipse_param: float) -> Side:
-    """Which side of the ellipse the leaf occupies at that boundary."""
+def boundary_side(leaf: Leaf, ellipse_param: float) -> EventSide:
+    """The side of the ellipse a reflection from the leaf comes from there:
+    FromInside on its outer ellipse, FromOutside on its hole."""
     if _same(leaf.outer, ellipse_param):
-        return Side.WITHIN
+        return EventSide.FROM_INSIDE
     if leaf.inner is not None and _same(leaf.inner, ellipse_param):
-        return Side.OUTSIDE
+        return EventSide.FROM_OUTSIDE
     raise NotABoundary(f"{ellipse_param} is not a boundary of leaf {leaf.id}")
 
 
@@ -247,13 +243,12 @@ def _rule(book: BilliardBook, leaf: Leaf, ellipse: float,
           gluing: GluingPermutation | None) -> tuple[Rule, EventSide, int]:
     """``transition`` at one of ``leaf``'s boundary ellipses, given the
     book's gluing there (None when there is none)."""
-    side_here = boundary_side(leaf, ellipse)
-    side = EventSide.FROM_INSIDE if side_here is Side.WITHIN else EventSide.FROM_OUTSIDE
+    side = boundary_side(leaf, ellipse)
     leaf_id = leaf.id
     image = leaf_id if gluing is None else gluing.image(leaf_id)
     if image == leaf_id:
         return Rule.R1, side, leaf_id
-    if boundary_side(book.leaf(image), ellipse) is side_here:
+    if boundary_side(book.leaf(image), ellipse) is side:
         return Rule.R2, side, image
     return Rule.R3, EventSide.PASS_THROUGH, image
 

@@ -147,12 +147,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     game = _load_valid_game(args.game)
     start_leaf = _leaf_or_smallest(book, args.start_leaf)
     _refuse_other_family(book, game)
+    game = normalize_game(game)[0]
     if args.samples == 0:
         print("warning: zero samples requested; verification is vacuous", file=sys.stderr)
         print("samples=0 mismatches=0")
         return EXIT_OK
 
-    failures = verify_book(book, normalize_game(game)[0], start_leaf, args.samples, args.seed)
+    failures = verify_book(book, game, start_leaf, args.samples, args.seed)
     if failures:
         i, j = failures[0]
         print(f"sample {i}: first divergent reflection index {j}", file=sys.stderr)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .book import TIE_TOL, BilliardBook, BookError, EventSide, NotABoundary, Rule, Side
+from .book import TIE_TOL, BilliardBook, BookError, EventSide, NotABoundary, Rule
 from .book import _same, boundary_side, invert_gluings
 from .conics import (
     ON_CONIC_TOL,
@@ -119,7 +119,7 @@ def glued_return_leaf(
         if k == 0 and leaf_after == outer_leaf_id:
             return None
         cur = leaf_after
-        if boundary_side(book.leaf(cur), ellipse_param) is Side.OUTSIDE:
+        if boundary_side(book.leaf(cur), ellipse_param) is EventSide.FROM_OUTSIDE:
             return cur
     raise BookError(f"gluing chain at {ellipse_param} does not exit")
 

@@ -33,6 +33,7 @@ from .dynamics import simulate, trace_to_game  # noqa: F401  hooked by perfbench
 
 _VERIFY_CYCLES = 5  # game periods each verification sample must repeat
 _START_TRIES = 1000  # points drawn for one start before giving up
+_START_CLEARANCE = 1e-6  # conic residual that keeps a drawn start off its outer wall and hole
 
 
 class GameError(Exception):
@@ -349,9 +350,9 @@ def admissible_start(
         px = -sx + 2 * sx * draw()
         py = -sy + 2 * sy * draw()
         xx, yy = px * px, py * py
-        if xx / oa + yy / ob - 1.0 > -1e-6:
+        if xx / oa + yy / ob - 1.0 > -_START_CLEARANCE:
             continue
-        if inner is not None and xx / ia + yy / ib - 1.0 < 1e-6:
+        if inner is not None and xx / ia + yy / ib - 1.0 < _START_CLEARANCE:
             continue
         for vx, vy in directions_with_caustic(fam, px, py, caustic):
             state = PhaseState(px, py, vx, vy, leaf_id)

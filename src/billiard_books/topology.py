@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .book import BilliardBook, Side, _same, _walk_cycles, boundary_side
+from .book import BilliardBook, _same, _walk_cycles, boundary_side
 from .conics import inward_normal  # noqa: F401  perfbench hooks it here
 from .conics import directions_with_caustic, winding_sign  # noqa: F401  perfbench hooks them here
 from .dynamics import EventSide, Rule
@@ -121,7 +121,7 @@ def _vertex_table(book: BilliardBook) -> tuple[list, list]:
     for lf in book.leaves:
         for e, _, _, rule, side, image, _, _ in book._walls[0][lf.id]:
             leaf = book.leaf(image)
-            from_hole = boundary_side(leaf, e) is Side.OUTSIDE
+            from_hole = boundary_side(leaf, e) is EventSide.FROM_OUTSIDE
             reach = math.inf if from_hole or leaf.inner is None else leaf.inner
             for sign in (1, -1):
                 event = RegimeState(e, side, lf.id, image, 0 if rule is Rule.R3 else sign)

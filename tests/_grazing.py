@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from billiard_books.book import BilliardBook, Side, _same, boundary_side
+from billiard_books.book import BilliardBook, EventSide, _same, boundary_side
 from billiard_books.conics import inward_normal
 from billiard_books.dynamics import PhaseState, glued_return_leaf, step
 from billiard_books.topology import TopologyError
@@ -30,7 +30,7 @@ def pass_through_return(
 ) -> tuple[int, bool]:
     """Exit leaf of the gluing chain entered from ``outer_leaf`` and whether
     it returns there (the grazing-limit continuity test)."""
-    if boundary_side(book.leaf(outer_leaf), ellipse_param) is not Side.OUTSIDE:
+    if boundary_side(book.leaf(outer_leaf), ellipse_param) is not EventSide.FROM_OUTSIDE:
         raise TopologyError(f"leaf {outer_leaf} does not lie outside C_{ellipse_param}")
     ret = glued_return_leaf(book, ellipse_param, outer_leaf)
     if ret is None:
@@ -71,7 +71,7 @@ def grazing_probe_exits(
             state, ev = step(book, state)
             if not _same(ev.ellipse, ellipse_param):
                 break  # wandered off the grazing band; should not happen
-            if boundary_side(book.leaf(ev.leaf_after), ellipse_param) is Side.OUTSIDE:
+            if boundary_side(book.leaf(ev.leaf_after), ellipse_param) is EventSide.FROM_OUTSIDE:
                 exit_leaf = ev.leaf_after
                 break
         if exit_leaf is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from functools import partial
 
 from billiard_books import topology
-from billiard_books.book import Side, _walk_cycles, boundary_side
+from billiard_books.book import _walk_cycles, boundary_side
 from billiard_books.book import EventSide, Rule, transition
 from billiard_books.topology import CriticalCircle, RegimeDescriptor, RegimeState, TopologyError
 
@@ -43,7 +43,7 @@ def vertex_step(book, lam: float, vertex: tuple) -> tuple[tuple, RegimeState]:
     rule, side, image = transition(book, leaf_id, e)
     event = RegimeState(e, side, leaf_id, image, 0 if rule is Rule.R3 else sign)
     leaf = book.leaf(image)
-    if boundary_side(leaf, e) is Side.OUTSIDE:
+    if boundary_side(leaf, e) is EventSide.FROM_OUTSIDE:
         return (image, leaf.outer, sign), event
     if leaf.inner is not None and leaf.inner < lam:
         return (image, leaf.inner, sign), event

@@ -12,7 +12,6 @@ from billiard_books import (
     GluingPermutation,
     Leaf,
     SchemaError,
-    Side,
     annulus,
     boundary_side,
     disk,
@@ -24,13 +23,16 @@ from billiard_books import (
 )
 from billiard_books.book import (
     BookError,
+    EventSide,
     NotABoundary,
+    Rule,
     book_from_dict,
     book_to_dict,
     load_book,
     save_book,
     transition,
 )
+from test_step_kernel import BOOKS as KERNEL_BOOKS
 
 
 def codes(violations):
@@ -109,10 +111,10 @@ def test_cycles_refuse_non_permutation(family):
 
 
 def test_boundary_side():
-    assert boundary_side(disk(1, 2.0), 2.0) is Side.WITHIN
+    assert boundary_side(disk(1, 2.0), 2.0) is EventSide.FROM_INSIDE
     lf = annulus(1, 0.0, 2.0)
-    assert boundary_side(lf, 2.0) is Side.OUTSIDE
-    assert boundary_side(lf, 0.0) is Side.WITHIN
+    assert boundary_side(lf, 2.0) is EventSide.FROM_OUTSIDE
+    assert boundary_side(lf, 0.0) is EventSide.FROM_INSIDE
     with pytest.raises(NotABoundary):
         boundary_side(lf, 1.0)
 
@@ -121,7 +123,42 @@ def test_boundary_side_never_within_on_inner(books):
     for book in books.values():
         for lf in book.leaves:
             if lf.inner is not None:
-                assert boundary_side(lf, lf.inner) is Side.OUTSIDE
+                assert boundary_side(lf, lf.inner) is EventSide.FROM_OUTSIDE
+
+
+def test_walls_follow_the_gluing_rule(books):
+    """Every wall of the table, worked out from the paper's rule alone: the
+    leaf's side of the ellipse read from ``Leaf.outer``/``Leaf.inner``, its
+    image from the gluing's ``mapping``, every match on the exact floats."""
+    corpus = [*books.values(), *(book for name, book in KERNEL_BOOKS.items() if name not in books)]
+    assert len(corpus) == 14
+    rules_met = set()
+    for book in corpus:
+        b = book.family.b
+        leaf_of = {lf.id: lf for lf in book.leaves}
+        walls_of, _ = book._walls
+        for lf in book.leaves:
+            walls = walls_of[lf.id]
+            assert [wall[0] for wall in walls] == list(lf.boundary_params())
+            for e, _, _, rule, side, leaf_after, _, ends in walls:
+                gluing = [g.mapping for g in book.gluings if g.ellipse == e]
+                image = gluing[0].get(lf.id, lf.id) if gluing else lf.id
+                inside = e == lf.outer  # the leaf lies within its outer ellipse
+                image_inside = e == leaf_of[image].outer
+                if image == lf.id:
+                    expected = Rule.R1
+                else:
+                    expected = Rule.R2 if inside == image_inside else Rule.R3
+                assert rule is expected
+                if expected is Rule.R3:
+                    assert side is EventSide.PASS_THROUGH
+                else:
+                    assert side is (EventSide.FROM_INSIDE if inside else EventSide.FROM_OUTSIDE)
+                assert leaf_after == image
+                valid_annulus = lf.inner is not None and lf.outer < lf.inner < b
+                assert ends == (valid_annulus and e == lf.inner)
+                rules_met.add(rule)
+    assert rules_met == set(Rule)
 
 
 def test_round_trip_all_catalog(books):

@@ -241,6 +241,7 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
         (["verify", "BOOK", "GAME", "--start-leaf", "99"], 3, "error: "),
         (["fomenko", "INVALID"], 3, "BadDomain: "),
         (["verify", "BOOK", "CONSTANT"], 2, "ConstantGame: "),
+        (["verify", "BOOK", "CONSTANT", "--samples", "0"], 2, "ConstantGame: "),
         (["verify", "BOOK", "FOREIGN"], 3, "error: "),
         (["simulate", "LARGE", "--caustic", "6.0", "--svg", "SVG"], 3, "error: "),
         (["simulate", "BOOK", "--caustic", "6.0", "--events", "abc"], 3, "error: argument --events"),
@@ -269,9 +270,9 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
         (["simulate", "BOOK", "--leaf", "1", "--pos=2.8,0.3", "--caustic", "6.0"], 3,
          "error: give the start by --pos/--vel or by --caustic, not both"),
     ],
-    ids=["no-leaf", "pos-outside", "zero-vel", "nan-caustic", "negative-events",
-         "negative-seed", "negative-samples", "verify-negative-seed", "no-start-leaf",
-         "invalid-book", "constant-game", "foreign-family", "svg-too-many-leaves",
+    ids=["no-leaf", "pos-outside", "zero-vel", "nan-caustic", "negative-events", "negative-seed",
+         "negative-samples", "verify-negative-seed", "no-start-leaf", "invalid-book",
+         "constant-game", "constant-game-zero-samples", "foreign-family", "svg-too-many-leaves",
          "events-not-integer", "events-above-maxsize", "non-finite-book", "near-levels",
          "verify-from-a-disk", "caustic-outside-leaf", "chained-ellipses", "bool-signature",
          "extra-game-field", "game-not-object", "game-family-not-number", "betas-not-numbers",

@@ -2,7 +2,7 @@
 by the module or class attribute their callers look up.  A hooked name that
 is renamed or removed must fail here, in tier-1, and not only in the slow
 ``pytest perfbench`` run.  The same reading of the sources finds imports and
-module-level definitions that nothing reads."""
+module-level definitions that nothing reads, and counts the public names."""
 
 import ast
 import importlib.util
@@ -114,3 +114,15 @@ def test_only_book_reads_a_gluing():
         and node.attr in gluing_reads
     ]
     assert readers == []
+
+
+def test_public_names_do_not_grow():
+    """The package's public names are the ones ``__init__`` imports.  A change
+    that adds one must raise this bound and say why in CHANGES.md; one that
+    removes names should lower it."""
+    tree = ast.parse((ROOT / "src" / "billiard_books" / "__init__.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+             for alias in node.names]
+    assert len(names) <= 64, (
+        f"__init__ imports {len(names)} names, more than 64: a change that adds a public "
+        "name raises this bound and says why in CHANGES.md; one that removes names lowers it")
