@@ -28,7 +28,7 @@ class ConicGeometryError(Exception):
 
 
 class EmptyConic(ConicGeometryError):
-    """Raised when lam > a, where the confocal equation has no real points."""
+    """Raised for lam > a or -inf, where the confocal equation has no real points, or NaN."""
 
 
 class DegenerateConic(ConicGeometryError):
@@ -80,9 +80,9 @@ class ConfocalFamily:
 def classify_conic(family: ConfocalFamily, lam: float) -> ConicKind:
     """Classify the member C_lam of the family.
 
-    Raises EmptyConic for lam > a (no real points) and for NaN.
+    Raises EmptyConic for lam > a (no real points) and for NaN or -inf.
     """
-    if not lam <= family.a:  # NaN fails every comparison, so it lands here
+    if not -math.inf < lam <= family.a:  # NaN fails every comparison, so it lands here
         raise EmptyConic(f"lam={lam} is not a conic parameter <= a={family.a}")
     if lam == family.a:
         return ConicKind.DEGENERATE_MINOR_AXIS

@@ -165,6 +165,8 @@ def normalize_game(game: OrderedGame) -> tuple[OrderedGame, int]:
             betas = game.betas[shift:] + game.betas[:shift]
             sig = game.signature[shift:] + game.signature[:shift]
             return OrderedGame(game.family, betas, sig), shift
+    if not all(map(math.isfinite, game.betas)):  # _same(x, x) is False for inf and NaN
+        _refuse_invalid(game)
     raise InvalidGame(
         [Violation("ConstantGame", "all ellipses equal; no normalization exists")]
     )
@@ -393,21 +395,25 @@ def verify_book(
 ) -> list[tuple[int, int]]:
     """Check that traces from admissible starts on ``start_leaf`` repeat the
     game's reflection sequence _VERIFY_CYCLES times, each read by
-    ``sample_trace``.  Returns (sample, first divergent reflection index)
-    failures, (sample, number of reflections read) for a trace that ended
-    short, or (sample, 0) when no start was found; an empty list means every
-    sample matched.  Raises ValueError for a negative sample count,
-    InvalidGame for a game ``validate_game`` refuses, BookError for a start
-    leaf the book does not have, ValueError for a game of another family
-    than the book's and, before any draw, what ``_draws`` raises for its
-    seed.  Sample i draws its caustic, then its start's seed.  Each
-    reflection is checked by membership in the book's boundary values
-    ``_same`` as the game's ellipse (a reflection is always on one of them)."""
+    ``sample_trace``; a rotated game is checked as its ``normalize_game``
+    rotation.  Returns (sample, first divergent reflection index of that
+    rotation) failures, (sample, number of reflections read) for a trace
+    that ended short, or (sample, 0) when no start was found; an empty list
+    means every sample matched.  Raises ValueError for a negative sample
+    count, InvalidGame for a game ``validate_game`` refuses, BookError for a
+    start leaf the book does not have, ValueError for a game of another
+    family than the book's, InvalidGame (``ConstantGame``) for a constant
+    game and, before any draw, what ``_draws`` raises for its seed, each
+    also with no samples.  Sample i draws its caustic, then its start's
+    seed.  Each reflection is checked by membership in the book's boundary
+    values ``_same`` as the game's ellipse (a reflection is always on one of
+    them)."""
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
     _refuse_invalid(game)
     _known_leaf(book, start_leaf)
     _refuse_other_family(book, game)
+    game = normalize_game(game)[0]
     walls = {e for lf in book.leaves for e in lf.boundary_params()}
     same = {beta: {e for e in walls if _same(e, beta)} for beta in set(game.betas)}
     want = [

@@ -30,6 +30,9 @@ def test_classify(family):
     assert classify_conic(family, -1.0) is ConicKind.ELLIPSE
     with pytest.raises(EmptyConic):
         classify_conic(family, 9.5)
+    # at lam = -inf both terms of the confocal equation vanish: no real point
+    with pytest.raises(EmptyConic, match="lam=-inf"):
+        classify_conic(family, -math.inf)
 
 
 def test_classify_refuses_nan(family):

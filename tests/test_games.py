@@ -90,6 +90,18 @@ def test_normalize_refuses_an_empty_game(family):
     assert codes(err.value.violations) == ["Empty"]
 
 
+@pytest.mark.parametrize("betas", [(3.5, -math.inf, 3.2), (math.nan, 1.0)])
+def test_normalize_refuses_a_non_finite_ellipse_by_its_violations(family, betas):
+    # _same(x, x) is False for inf and NaN, so no rotation matched and such a
+    # game was called constant; a valid constant game still is
+    with pytest.raises(InvalidGame) as err:
+        normalize_game(game(family, betas, (1,) * len(betas)))
+    assert codes(err.value.violations) == ["BetaOutOfRange"]
+    with pytest.raises(InvalidGame) as err:
+        normalize_game(game(family, (2.0, 2.0), (1, 1)))
+    assert codes(err.value.violations) == ["ConstantGame"]
+
+
 @pytest.mark.parametrize(
     "betas",
     [
@@ -399,19 +411,43 @@ def test_verify_refuses_negative_sample_counts(family):
         ((), (), "Empty"),
         ((0.0, 2.0), (1,), "LengthMismatch"),
         ((0.0, 2.0), (1, 5), "BadSignature"),
+        ((2.0, 2.0), (1, 1), "ConstantGame"),  # had a "no start found" failure per sample
     ],
 )
 def test_verify_refuses_invalid_games_before_drawing(family, monkeypatch, betas, sig, code):
-    # as compile_game and leaf_count_bounds do, and before any start is drawn
+    # as compile_game and leaf_count_bounds do, and before any draw
     rep = compile_simple(game(family, (0.0, 2.0), (1, 1)))
 
     def no_draw(*args, **kwargs):
-        raise AssertionError("a start was drawn for an invalid game")
+        raise AssertionError("a random generator was made for an invalid game")
 
-    monkeypatch.setattr(games, "admissible_start", no_draw)
+    monkeypatch.setattr(games, "_draws", no_draw)
     with pytest.raises(InvalidGame) as err:
         games.verify_book(rep.book, game(family, betas, sig), rep.start_leaf_id, samples=2)
     assert code in codes(err.value.violations)
+
+
+# tests/test_step_kernel.py's COMPILED_GAMES
+ROTATED_GAMES = (
+    ((1.6, 2.4, 3.2), (1, 1, 1)),
+    ((2.4, 0.8, 1.6, 3.2, 0.8), (1, 1, 1, -1, 1)),
+    ((0.0, 2.4, 0.8, 3.2), (1, -1, 1, 1)),
+)
+
+
+def test_verify_book_checks_a_rotated_game_as_its_normal_rotation(family):
+    # a game is a cyclic word, so each rotation with the report's normal form
+    # passes as rep.game does; verify_book failed every sample of the 6 that
+    # are not rep.game itself with "no start found"
+    checked = 0
+    for betas, sig in ROTATED_GAMES:
+        rep = compile_simple(game(family, betas, sig))
+        for k in range(len(betas)):
+            rotated = game(family, betas[k:] + betas[:k], sig[k:] + sig[:k])
+            if normalize_game(rotated)[0] == rep.game:
+                assert games.verify_book(rep.book, rotated, rep.start_leaf_id, 6, 1) == []
+                checked += 1
+    assert checked == 9
 
 
 @pytest.mark.parametrize(

@@ -243,6 +243,10 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
         (["verify", "BOOK", "CONSTANT"], 2, "ConstantGame: "),
         (["verify", "BOOK", "CONSTANT", "--samples", "0"], 2, "ConstantGame: "),
         (["verify", "BOOK", "FOREIGN"], 3, "error: "),
+        (["verify", "BOOK", "FOREIGN", "--samples", "0"], 3, "error: the game's family"),
+        (["verify", "BOOK", "GAME", "--start-leaf", "99", "--samples", "0"], 3,
+         "error: the book has no leaf 99"),
+        (["verify", "BOOK", "FOREIGN_CONSTANT"], 3, "error: the game's family"),
         (["simulate", "LARGE", "--caustic", "6.0", "--svg", "SVG"], 3, "error: "),
         (["simulate", "BOOK", "--caustic", "6.0", "--events", "abc"], 3, "error: argument --events"),
         (["simulate", "BOOK", "--caustic", "6.0", "--events", "99999999999999999999"], 3,
@@ -272,7 +276,9 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
     ],
     ids=["no-leaf", "pos-outside", "zero-vel", "nan-caustic", "negative-events", "negative-seed",
          "negative-samples", "verify-negative-seed", "no-start-leaf", "invalid-book",
-         "constant-game", "constant-game-zero-samples", "foreign-family", "svg-too-many-leaves",
+         "constant-game", "constant-game-zero-samples", "foreign-family",
+         "foreign-family-zero-samples", "no-start-leaf-zero-samples", "foreign-constant",
+         "svg-too-many-leaves",
          "events-not-integer", "events-above-maxsize", "non-finite-book", "near-levels",
          "verify-from-a-disk", "caustic-outside-leaf", "chained-ellipses", "bool-signature",
          "extra-game-field", "game-not-object", "game-family-not-number", "betas-not-numbers",
@@ -283,15 +289,16 @@ def test_cli_refuses_invalid_input(tmp_path, capsys, books, argv, code, complain
     """main returns the documented code, with no traceback or SystemExit."""
     fam = ConfocalFamily(9.0, 4.0)
     files = {name: tmp_path / name for name in (
-        "BOOK", "GAME", "INVALID", "CONSTANT", "FOREIGN", "LARGE", "SVG", "NONFINITE", "NEAR",
-        "COMPILED", "COMPILED_GAME", "CHAINED", "OUT", "BOOL_SIGNATURE", "EXTRA_FIELD",
-        "NOT_OBJECT", "BAD_FAMILY", "BAD_BETAS", "BAD_SIGNATURE")}
+        "BOOK", "GAME", "INVALID", "CONSTANT", "FOREIGN", "FOREIGN_CONSTANT", "LARGE", "SVG",
+        "NONFINITE", "NEAR", "COMPILED", "COMPILED_GAME", "CHAINED", "OUT", "BOOL_SIGNATURE",
+        "EXTRA_FIELD", "NOT_OBJECT", "BAD_FAMILY", "BAD_BETAS", "BAD_SIGNATURE")}
     files["BOOK"].write_text(dumps_book(books["annulus_two_disks"]))
     write_game(files["GAME"], (0.0, 2.0), (1, 1))
     invalid = make_book(fam, [disk(1, 2.0)], [(2.0, [[1, 99]])])
     files["INVALID"].write_text(dumps_book(invalid))
     write_game(files["CONSTANT"], (2.0, 2.0), (1, 1))
     write_game(files["FOREIGN"], (0.0, 2.0), (1, 1), a=16.0, b=9.0)
+    write_game(files["FOREIGN_CONSTANT"], (2.0, 2.0), (1, 1), a=16.0, b=9.0)
     large = make_book(fam, [disk(i, 2.0) for i in range(1, 66)], [(2.0, [list(range(1, 66))])])
     files["LARGE"].write_text(dumps_book(large))
     files["NONFINITE"].write_text(dumps_book(make_book(fam, [disk(1, -math.inf)])))

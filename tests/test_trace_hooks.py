@@ -116,6 +116,22 @@ def test_only_book_reads_a_gluing():
     assert readers == []
 
 
+def test_only_games_fixes_a_games_rotation():
+    """Which rotation of a game is checked, and which family it must be
+    played in, is decided in ``games`` alone; the CLI hands ``verify_book``
+    the game as it was read."""
+    policy = {"normalize_game", "_refuse_other_family"}
+    callers = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted((ROOT / "src" / "billiard_books").glob("*.py"))
+        if path.name != "games.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (name := getattr(node.func, "id", getattr(node.func, "attr", None))) in policy
+    ]
+    assert callers == []
+
+
 def test_public_names_do_not_grow():
     """The package's public names are the ones ``__init__`` imports.  A change
     that adds one must raise this bound and say why in CHANGES.md; one that
