@@ -286,14 +286,16 @@ def simulate(
     singular level before ``max_events`` events; ``final`` is the state
     after the last event, or ``state`` when there is none.  The drift, the
     largest |caustic_parameter(event) - caustic| or 0.0, is computed inline.
-    Raises ValueError, before any event, for a ``max_events`` above sys.maxsize.
+    Raises ValueError, before any event, unless 0 <= ``max_events`` <= sys.maxsize.
     """
+    if max_events < 0:
+        raise ValueError(f"max_events must be >= 0, got {max_events}")
     if max_events > sys.maxsize:
         raise ValueError(f"max_events must be at most {sys.maxsize}, got {max_events}")
     fam = book.family
     events_from = flow(book, state)
     caustic0 = caustic_parameter(fam, state.x, state.y, state.vx, state.vy)
-    events = list(islice(events_from, max(max_events, 0)))
+    events = list(islice(events_from, max_events))
     a, b = fam.a, fam.b
     drift = 0.0
     for x, y, _, _, _, _, _, vx, vy in events:  # caustic_parameter, inline and in its order

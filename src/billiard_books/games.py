@@ -150,11 +150,11 @@ def _refuse_invalid(game: OrderedGame) -> None:
 def normalize_game(game: OrderedGame) -> tuple[OrderedGame, int]:
     """Cyclic rotation putting the outermost ellipse first with
     betas[0] != betas[-1]; returns (rotated game, shift applied).  A
-    one-reflection game is its own normal form; an empty game raises
-    InvalidGame."""
+    one-reflection game is its own normal form.  Raises InvalidGame with
+    ``validate_game``'s violations for a game it refuses, and InvalidGame
+    (``ConstantGame``) for a valid game whose ellipses are all equal."""
+    _refuse_invalid(game)
     n = len(game.betas)
-    if n == 0:
-        _refuse_invalid(game)
     if n == 1:
         return game, 0
     bmin = min(game.betas)
@@ -165,8 +165,6 @@ def normalize_game(game: OrderedGame) -> tuple[OrderedGame, int]:
             betas = game.betas[shift:] + game.betas[:shift]
             sig = game.signature[shift:] + game.signature[:shift]
             return OrderedGame(game.family, betas, sig), shift
-    if not all(map(math.isfinite, game.betas)):  # _same(x, x) is False for inf and NaN
-        _refuse_invalid(game)
     raise InvalidGame(
         [Violation("ConstantGame", "all ellipses equal; no normalization exists")]
     )
@@ -201,13 +199,12 @@ def compile_game(game: OrderedGame) -> CompileReport:
                 f"ellipse {game.betas[k]} repeats at positions {k}, {j} "
                 "with an outside reflection"
             )
-    _refuse_invalid(game)
+    norm, shift = normalize_game(game)
     if n == 1:
         lf = Leaf(1, game.betas[0])
         book = BilliardBook(game.family, (lf,))
-        return CompileReport(book, {}, {}, 1, 0, 0, game, lf.id)
+        return CompileReport(book, {}, {}, 1, 0, shift, norm, lf.id)
 
-    norm, shift = normalize_game(game)
     betas, signature = norm.betas, norm.signature
     # A run of equal ellipses starts at each position j whose ellipse differs
     # from the one before it (position 0 does, after normalization); the
@@ -400,28 +397,23 @@ def verify_book(
     rotation) failures, (sample, number of reflections read) for a trace
     that ended short, or (sample, 0) when no start was found; an empty list
     means every sample matched.  Raises ValueError for a negative sample
-    count, InvalidGame for a game ``validate_game`` refuses, BookError for a
-    start leaf the book does not have, ValueError for a game of another
-    family than the book's, InvalidGame (``ConstantGame``) for a constant
-    game and, before any draw, what ``_draws`` raises for its seed, each
-    also with no samples.  Sample i draws its caustic, then its start's
-    seed.  Each reflection is checked by membership in the book's boundary
-    values ``_same`` as the game's ellipse (a reflection is always on one of
-    them)."""
+    count, BookError for a start leaf the book does not have, ValueError for
+    a game of another family than the book's, what ``normalize_game`` raises
+    (InvalidGame for a game ``validate_game`` refuses, then ``ConstantGame``)
+    and, before any draw, what ``_draws`` raises for its seed, each also with
+    no samples; so an invalid game on a missing leaf raises BookError.
+    Sample i draws its caustic, then its start's seed.  Each reflection's
+    ellipse is compared with the game's through ``_same``."""
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
-    _refuse_invalid(game)
     _known_leaf(book, start_leaf)
     _refuse_other_family(book, game)
     game = normalize_game(game)[0]
     walls = {e for lf in book.leaves for e in lf.boundary_params()}
-    same = {beta: {e for e in walls if _same(e, beta)} for beta in set(game.betas)}
     want = [
-        (same[beta], EventSide.FROM_INSIDE if sig == 1 else EventSide.FROM_OUTSIDE)
+        (beta, EventSide.FROM_INSIDE if sig == 1 else EventSide.FROM_OUTSIDE)
         for beta, sig in zip(game.betas, game.signature)
     ] * _VERIFY_CYCLES
-    # a trace equal to this one passes, so it needs no reflection-by-reflection read
-    passing = [(next(iter(ellipses), None), want_side) for ellipses, want_side in want]
     elliptic, hyperbolic = admissible_caustic_range(game)
     draw = _draws(seed)
     failures: list[tuple[int, int]] = []
@@ -442,10 +434,10 @@ def verify_book(
         if len(trace) < need:
             failures.append((i, len(trace)))
             continue
-        if trace == passing:
+        if trace == want:  # == implies _same, so such a trace passes
             continue
-        for j, ((e, side), (ellipses, want_side)) in enumerate(zip(trace, want)):
-            if side is not want_side or e not in ellipses:
+        for j, ((e, side), (beta, want_side)) in enumerate(zip(trace, want)):
+            if side is not want_side or not _same(e, beta):
                 failures.append((i, j))
                 break
     return failures

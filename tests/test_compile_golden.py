@@ -17,6 +17,9 @@ bare ``ValueError``; only the corpus's 30 empty games changed their line.
 It was recorded again when a game with a non-finite ellipse and no rotation
 began to get ``validate_game``'s violations in place of ``ConstantGame``;
 only those 59 games changed their line.
+It was recorded again when ``normalize_game`` began to refuse every game that
+``validate_game`` refuses; only 448 of those games changed their line, 304
+that it had rotated and 144 that it had called ``ConstantGame``.
 ``leaf_count_bounds``'s hash was recorded again when its ``ConsecutiveRepeat``
 message became ``compile_simple``'s ("use the same ellipse" for "coincide");
 it equals the old lines' hash with only that text replaced.
@@ -31,6 +34,7 @@ import pytest
 
 from billiard_books import (
     ConfocalFamily,
+    InvalidGame,
     OrderedGame,
     compile_game,
     compile_simple,
@@ -39,6 +43,7 @@ from billiard_books import (
     normalize_game,
     validate_game,
 )
+from billiard_books.games import verify_book
 
 FAMILY = ConfocalFamily(9.0, 4.0)
 POOL = (0.0, 0.8, 1.6, 2.4, 3.2, 3.5)
@@ -115,7 +120,7 @@ GOLDEN = {
     "compile_simple":
         "1f1daa74d4f14081f304c55fffa04a3aa8c67b3bd5a1c2013a1cdef8b7085d36",
     "normalize_game":
-        "1ff37b7cd06ab4bea96aac05a05a161939232bb362499976c6c3c3f79e32bd13",
+        "9829d9ae305f64a9b85c5b8a978f318e02d9a818b4a27ef23d2e8ba1e0b77c5d",
     "leaf_count_bounds":
         "f9891620988c85b8cc8ae23fd240abaf704d482f7814a5766d63ec30bf2dbe87",
 }
@@ -141,3 +146,19 @@ def test_compiler_matches_golden(name, games):
             outcomes[type(err).__name__] += 1
         digest.update(line.encode() + b"\0")
     assert digest.hexdigest() == GOLDEN[name], dict(outcomes)
+
+
+def test_normalize_refuses_what_validate_game_refuses(games):
+    # a game gets a normal form only if it is valid, so verify_book, which
+    # checks that form, refuses each such game with the same message
+    book = compile_simple(OrderedGame(FAMILY, (0.0, 2.0, 3.5), (1, 1, -1))).book
+    invalid = [(g, violations) for g in games if (violations := validate_game(g))]
+    assert len(invalid) == 537
+    for g, violations in invalid:
+        message = str(InvalidGame(violations))
+        with pytest.raises(InvalidGame) as err:
+            normalize_game(g)
+        assert str(err.value) == message
+        with pytest.raises(InvalidGame) as err:
+            verify_book(book, g, 1, 0)
+        assert str(err.value) == message

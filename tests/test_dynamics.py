@@ -458,6 +458,15 @@ def test_simulate_refuses_too_many_events_before_any_event(max_events):
         simulate(CATALOG["chain_six"](), state, max_events)
 
 
+@pytest.mark.parametrize("max_events", [-1, -3])
+def test_simulate_refuses_a_negative_event_count_before_any_event(max_events):
+    # it returned an ok trajectory with no events, where verify_book refuses
+    # a negative sample count; the start is on a missing leaf, as above
+    state = PhaseState(0.1, 0.1, 1.0, 0.0, 99)
+    with pytest.raises(ValueError, match=f"^max_events must be >= 0, got {max_events}$"):
+        simulate(CATALOG["chain_six"](), state, max_events)
+
+
 # two books that validate_book refuses, each with a wall whose transition
 # raises on a leaf the start on disk 4 never leaves
 BAD_WALL_BOOKS = {

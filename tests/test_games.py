@@ -103,6 +103,22 @@ def test_normalize_refuses_a_non_finite_ellipse_by_its_violations(family, betas)
 
 
 @pytest.mark.parametrize(
+    "betas, sig, code",
+    [
+        ((0.0, 2.0), (1,), "LengthMismatch"),  # returned with a one-entry signature
+        ((0.0, math.nan), (1, 1), "BetaOutOfRange"),  # returned unchanged
+        ((2.0, 2.0), (1, 0), "BadSignature"),  # called ConstantGame
+    ],
+)
+def test_normalize_refuses_an_invalid_game_by_its_violations(family, betas, sig, code):
+    g = game(family, betas, sig)
+    with pytest.raises(InvalidGame) as err:
+        normalize_game(g)
+    assert codes(err.value.violations) == [code]
+    assert str(err.value) == str(InvalidGame(validate_game(g)))
+
+
+@pytest.mark.parametrize(
     "betas",
     [
         (0.0, 1.6, 1.6 + 8e-13, 1.6 + 1.6e-12),  # each within 1e-12 of the next
@@ -427,6 +443,11 @@ def test_verify_refuses_invalid_games_before_drawing(family, monkeypatch, betas,
     assert code in codes(err.value.violations)
 
 
+# an invalid game (BetaOutOfRange); verify_book checks the leaf and the
+# family before normalize_game refuses it
+NAN_GAME = {"betas": (0.0, math.nan), "signature": (1, 1)}
+
+
 # tests/test_step_kernel.py's COMPILED_GAMES
 ROTATED_GAMES = (
     ((1.6, 2.4, 3.2), (1, 1, 1)),
@@ -456,11 +477,13 @@ def test_verify_book_checks_a_rotated_game_as_its_normal_rotation(family):
         lambda rep: admissible_start(rep.book, 99, 6.5, seed=4, game=rep.game),
         lambda rep: games.verify_book(rep.book, rep.game, 99, samples=2),
         lambda rep: verify_realization(replace(rep, start_leaf_id=99), samples=2),
+        lambda rep: games.verify_book(rep.book, replace(rep.game, **NAN_GAME), 99, 0),
     ],
-    ids=["admissible_start", "verify_book", "verify_realization"],
+    ids=["admissible_start", "verify_book", "verify_realization", "verify_book-invalid-game"],
 )
 def test_an_unknown_start_leaf_is_refused_by_name(family, monkeypatch, call):
-    # with the CLI's message, and before any start or caustic is drawn
+    # with the CLI's message, and before any start or caustic is drawn; an
+    # invalid game too, as normalize_game refuses it after this check
     rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
 
     def no_draw(*args, **kwargs):
@@ -477,8 +500,11 @@ def test_an_unknown_start_leaf_is_refused_by_name(family, monkeypatch, call):
         lambda rep, other: admissible_start(rep.book, rep.start_leaf_id, 6.5, 4, other),
         lambda rep, other: games.verify_book(rep.book, other, rep.start_leaf_id, 4, 1),
         lambda rep, other: verify_realization(replace(rep, game=other), samples=4, seed=1),
+        lambda rep, other: games.verify_book(
+            rep.book, replace(other, **NAN_GAME), rep.start_leaf_id, 0
+        ),
     ],
-    ids=["admissible_start", "verify_book", "verify_realization"],
+    ids=["admissible_start", "verify_book", "verify_realization", "verify_book-invalid-game"],
 )
 def test_a_game_of_another_family_is_refused(family, monkeypatch, call):
     # with the CLI's message, and before any start or caustic is drawn;

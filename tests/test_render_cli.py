@@ -246,6 +246,9 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
         (["verify", "BOOK", "FOREIGN", "--samples", "0"], 3, "error: the game's family"),
         (["verify", "BOOK", "GAME", "--start-leaf", "99", "--samples", "0"], 3,
          "error: the book has no leaf 99"),
+        # the game file is refused when it is read, before the leaf is looked up
+        (["verify", "BOOK", "CHAINED", "--start-leaf", "99", "--samples", "0"], 2,
+         "ChainedEllipses: "),
         (["verify", "BOOK", "FOREIGN_CONSTANT"], 3, "error: the game's family"),
         (["simulate", "LARGE", "--caustic", "6.0", "--svg", "SVG"], 3, "error: "),
         (["simulate", "BOOK", "--caustic", "6.0", "--events", "abc"], 3, "error: argument --events"),
@@ -277,7 +280,8 @@ def test_cli_fomenko_unknown_atom(tmp_path, capsys):
     ids=["no-leaf", "pos-outside", "zero-vel", "nan-caustic", "negative-events", "negative-seed",
          "negative-samples", "verify-negative-seed", "no-start-leaf", "invalid-book",
          "constant-game", "constant-game-zero-samples", "foreign-family",
-         "foreign-family-zero-samples", "no-start-leaf-zero-samples", "foreign-constant",
+         "foreign-family-zero-samples", "no-start-leaf-zero-samples",
+         "invalid-game-no-start-leaf", "foreign-constant",
          "svg-too-many-leaves",
          "events-not-integer", "events-above-maxsize", "non-finite-book", "near-levels",
          "verify-from-a-disk", "caustic-outside-leaf", "chained-ellipses", "bool-signature",
