@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from itertools import islice
@@ -277,6 +278,15 @@ def flow(book: BilliardBook, state: PhaseState) -> Iterator[TrajectoryEvent]:
     return _events(book, state, True)
 
 
+def _count(name: str, value) -> int:
+    """``value`` as a count: TypeError unless it is an integer, ValueError
+    naming it when it is negative."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def simulate(
     book: BilliardBook, state: PhaseState, max_events: int = MAX_EVENTS_DEFAULT
 ) -> Trajectory:
@@ -286,10 +296,10 @@ def simulate(
     singular level before ``max_events`` events; ``final`` is the state
     after the last event, or ``state`` when there is none.  The drift, the
     largest |caustic_parameter(event) - caustic| or 0.0, is computed inline.
-    Raises ValueError, before any event, unless 0 <= ``max_events`` <= sys.maxsize.
+    Raises TypeError, before any event, unless ``max_events`` is an integer,
+    and ValueError unless 0 <= ``max_events`` <= sys.maxsize.
     """
-    if max_events < 0:
-        raise ValueError(f"max_events must be >= 0, got {max_events}")
+    max_events = _count("max_events", max_events)
     if max_events > sys.maxsize:
         raise ValueError(f"max_events must be at most {sys.maxsize}, got {max_events}")
     fam = book.family

@@ -12,9 +12,9 @@ holds for repeat-free games.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 from .book import (
@@ -28,7 +28,7 @@ from .book import (
     _same,
 )
 from .conics import ConfocalFamily, directions_with_caustic
-from .dynamics import EventSide, PhaseState, TangentialHit, flow, step
+from .dynamics import EventSide, PhaseState, TangentialHit, _count, flow, step
 from .dynamics import simulate, trace_to_game  # noqa: F401  hooked by perfbench/spans.py
 
 _VERIFY_CYCLES = 5  # game periods each verification sample must repeat
@@ -67,6 +67,11 @@ class OrderedGame:
     @property
     def n(self) -> int:
         return len(self.betas)
+
+    @cached_property
+    def _violations(self) -> tuple[Violation, ...]:
+        """``validate_game``'s verdict, worked out once: the fields are frozen."""
+        return tuple(validate_game(self))
 
 
 def _repeats(betas: tuple[float, ...]) -> list[tuple[int, int]]:
@@ -141,16 +146,16 @@ def validate_game(game: OrderedGame) -> list[Violation]:
 
 
 def _refuse_invalid(game: OrderedGame) -> None:
-    """Raise InvalidGame listing ``validate_game``'s violations, if any."""
-    violations = validate_game(game)
-    if violations:
-        raise InvalidGame(violations)
+    """Raise InvalidGame listing the game's cached ``_violations``, if any."""
+    if game._violations:
+        raise InvalidGame(list(game._violations))
 
 
 def normalize_game(game: OrderedGame) -> tuple[OrderedGame, int]:
     """Cyclic rotation putting the outermost ellipse first with
     betas[0] != betas[-1]; returns (rotated game, shift applied).  A
-    one-reflection game is its own normal form.  Raises InvalidGame with
+    one-reflection game is its own normal form, and a game already normal
+    comes back as itself, so it keeps its verdict.  Raises InvalidGame with
     ``validate_game``'s violations for a game it refuses, and InvalidGame
     (``ConstantGame``) for a valid game whose ellipses are all equal."""
     _refuse_invalid(game)
@@ -164,7 +169,7 @@ def normalize_game(game: OrderedGame) -> tuple[OrderedGame, int]:
         ):
             betas = game.betas[shift:] + game.betas[:shift]
             sig = game.signature[shift:] + game.signature[:shift]
-            return OrderedGame(game.family, betas, sig), shift
+            return (OrderedGame(game.family, betas, sig) if shift else game), shift
     raise InvalidGame(
         [Violation("ConstantGame", "all ellipses equal; no normalization exists")]
     )
@@ -291,7 +296,9 @@ def leaf_count_bounds(game: OrderedGame) -> tuple[int, int, int]:
 
 def admissible_caustic_range(game: OrderedGame) -> tuple[tuple[float, float], ...]:
     """Open caustic intervals on which the full game is realized: ellipses
-    nested inside every game ellipse, and all hyperbolae."""
+    nested inside every game ellipse, and all hyperbolae.  Raises InvalidGame
+    with ``validate_game``'s violations for a game it refuses."""
+    _refuse_invalid(game)
     fam = game.family
     return ((max(game.betas), fam.b), (fam.b, fam.a))
 
@@ -306,10 +313,7 @@ def _refuse_other_family(book: BilliardBook, game: OrderedGame) -> None:
 def _draws(seed: int):
     """``random.Random(seed).random``; TypeError for a seed that is not an
     int, ValueError for a negative one, which Random would fold onto -seed."""
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return random.Random(seed).random
+    return random.Random(_count("seed", seed)).random
 
 
 def admissible_start(
@@ -318,12 +322,13 @@ def admissible_start(
     """Deterministic pseudo-random state inside the leaf, moving tangentially
     to the caustic; None when none of _START_TRIES drawn points admits one.
 
-    With a game, it must be played in the book's family (ValueError), the
-    caustic must lie in its admissible range, and the state's first event
-    must be a reflection on the game's first ellipse.  A leaf the book does
-    not have, or whose outer parameter is not an ellipse of the family (not
-    finite, or >= b), raises BookError, and a seed that ``_draws`` refuses
-    raises, each before any draw.
+    With a game, it must be played in the book's family (ValueError), be
+    valid (InvalidGame with ``validate_game``'s violations), the caustic must
+    lie in its admissible range (InadmissibleCaustic), and the state's first
+    event must be a reflection on the game's first ellipse.  A leaf the book
+    does not have, or whose outer parameter is not an ellipse of the family
+    (not finite, or >= b), raises BookError, and a seed that ``_draws``
+    refuses raises; each refusal comes in that order, before any draw.
     """
     fam = book.family
     if game is not None:
@@ -375,10 +380,12 @@ def sample_trace(
     event after the ``need``-th reflection is computed.  Between two
     reflections the particle runs on one line, which meets each of the
     book's W boundary ellipses at most twice, so need·(2W + 1) events hold
-    ``need`` reflections of any flow that does not end."""
+    ``need`` reflections of any flow that does not end.  Both counts pass
+    ``_count``; need 0 reads no event, after ``flow`` checks the start."""
+    need, budget = _count("need", need), _count("budget", budget)
     trace: list[tuple[float, EventSide]] = []
     append, crossing, left = trace.append, EventSide.PASS_THROUGH, need
-    for ev in islice(flow(book, state), budget):
+    for ev in islice(flow(book, state), budget if need else 0):
         if ev.side is not crossing:  # ev.is_reflection, without the property call
             append((ev.ellipse, ev.side))
             left -= 1
@@ -397,15 +404,15 @@ def verify_book(
     rotation) failures, (sample, number of reflections read) for a trace
     that ended short, or (sample, 0) when no start was found; an empty list
     means every sample matched.  Raises ValueError for a negative sample
-    count, BookError for a start leaf the book does not have, ValueError for
-    a game of another family than the book's, what ``normalize_game`` raises
-    (InvalidGame for a game ``validate_game`` refuses, then ``ConstantGame``)
-    and, before any draw, what ``_draws`` raises for its seed, each also with
-    no samples; so an invalid game on a missing leaf raises BookError.
+    count (TypeError for one that is not an integer), BookError for a start
+    leaf the book does not have, ValueError for a game of another family
+    than the book's, what ``normalize_game`` raises (InvalidGame for a game
+    ``validate_game`` refuses, then ``ConstantGame``) and, before any draw,
+    what ``_draws`` raises for its seed, each also with no samples; so an
+    invalid game on a missing leaf raises BookError.
     Sample i draws its caustic, then its start's seed.  Each reflection's
     ellipse is compared with the game's through ``_same``."""
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    samples = _count("samples", samples)
     _known_leaf(book, start_leaf)
     _refuse_other_family(book, game)
     game = normalize_game(game)[0]

@@ -43,7 +43,7 @@ from billiard_books import (
     normalize_game,
     validate_game,
 )
-from billiard_books.games import verify_book
+from billiard_books.games import admissible_caustic_range, admissible_start, verify_book
 
 FAMILY = ConfocalFamily(9.0, 4.0)
 POOL = (0.0, 0.8, 1.6, 2.4, 3.2, 3.5)
@@ -150,7 +150,9 @@ def test_compiler_matches_golden(name, games):
 
 def test_normalize_refuses_what_validate_game_refuses(games):
     # a game gets a normal form only if it is valid, so verify_book, which
-    # checks that form, refuses each such game with the same message
+    # checks that form, refuses each such game with the same message; so do
+    # the caustic range and the start sampler, which returned a start for
+    # 148 of these games, None for 359 and a bare ValueError for 30
     book = compile_simple(OrderedGame(FAMILY, (0.0, 2.0, 3.5), (1, 1, -1))).book
     invalid = [(g, violations) for g in games if (violations := validate_game(g))]
     assert len(invalid) == 537
@@ -161,4 +163,10 @@ def test_normalize_refuses_what_validate_game_refuses(games):
         assert str(err.value) == message
         with pytest.raises(InvalidGame) as err:
             verify_book(book, g, 1, 0)
+        assert str(err.value) == message
+        with pytest.raises(InvalidGame) as err:
+            admissible_caustic_range(g)
+        assert str(err.value) == message
+        with pytest.raises(InvalidGame) as err:
+            admissible_start(book, 1, 6.5, 0, g)
         assert str(err.value) == message

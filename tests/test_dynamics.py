@@ -467,6 +467,15 @@ def test_simulate_refuses_a_negative_event_count_before_any_event(max_events):
         simulate(CATALOG["chain_six"](), state, max_events)
 
 
+@pytest.mark.parametrize("max_events", [3.5, 2.0, "5"])
+def test_simulate_refuses_an_event_count_that_is_not_an_integer(max_events):
+    # 3.5 raised EscapedLeaf from the missing leaf, 2.0 islice's message and
+    # "5" a bare '<' comparison error; each is refused before any event
+    state = PhaseState(0.1, 0.1, 1.0, 0.0, 99)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        simulate(CATALOG["chain_six"](), state, max_events)
+
+
 # two books that validate_book refuses, each with a wall whose transition
 # raises on a leaf the start on disk 4 never leaves
 BAD_WALL_BOOKS = {

@@ -118,6 +118,57 @@ def test_normalize_refuses_an_invalid_game_by_its_violations(family, betas, sig,
     assert str(err.value) == str(InvalidGame(validate_game(g)))
 
 
+# --- one verdict per game ------------------------------------------------------
+
+@pytest.fixture
+def validations(monkeypatch):
+    """The ``validate_game`` calls the library makes, one list entry each."""
+    calls = []
+    real = games.validate_game
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(games, "validate_game", counted)
+    return calls
+
+
+def test_a_game_is_validated_once(family, tmp_path, capsys, validations):
+    # a rotated game: its normal rotation is a second game object, with its
+    # own verdict, which every verification sample then reads
+    g = game(family, (2.4, 0.8, 1.6, 3.2, 0.8), (1, 1, 1, -1, 1))
+    rep = compile_simple(g)
+    assert rep.shift != 0 and validations == [g]
+    validations.clear()
+    assert verify_realization(rep, samples=8) == []
+    assert len(validations) <= 1
+    book, game_file = write_verify_inputs(tmp_path, rep, g)
+    validations.clear()
+    assert main(["compile", game_file, "--out", str(tmp_path / "again.json")]) == 0
+    assert len(validations) == 1  # the loader's check and compile's were two
+    validations.clear()
+    assert main(["verify", book, game_file, "--samples", "10"]) == 0
+    assert len(validations) <= 2  # a check per sample would make 12
+    capsys.readouterr()
+
+
+def test_a_games_verdict_is_its_own(family, validations):
+    g = game(family, (0.0, 2.0), (1, 5))
+    with pytest.raises(InvalidGame) as err:
+        normalize_game(g)
+    message = str(err.value)
+    err.value.violations.clear()  # the caught list is a copy of the verdict
+    with pytest.raises(InvalidGame, match=re.escape(message)):
+        normalize_game(g)
+    assert validations == [g]
+    fixed = replace(g, signature=(1, 1))
+    assert normalize_game(fixed) == (fixed, 0)
+    with pytest.raises(InvalidGame, match="BetaOutOfRange"):
+        normalize_game(replace(fixed, betas=(0.0, math.nan)))
+    assert len(validations) == 3
+
+
 @pytest.mark.parametrize(
     "betas",
     [
@@ -419,6 +470,11 @@ def test_verify_refuses_negative_sample_counts(family):
         verify_realization(rep, samples=-3)
     with pytest.raises(ValueError, match="-1"):
         games.verify_book(rep.book, rep.game, rep.start_leaf_id, samples=-1)
+    # a count that is not an integer is a TypeError; "3" raised a bare '<'
+    # comparison error
+    for samples in (2.5, "3"):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            verify_realization(rep, samples=samples)
 
 
 @pytest.mark.parametrize(
@@ -427,20 +483,27 @@ def test_verify_refuses_negative_sample_counts(family):
         ((), (), "Empty"),
         ((0.0, 2.0), (1,), "LengthMismatch"),
         ((0.0, 2.0), (1, 5), "BadSignature"),
+        ((0.0, math.nan), (1, 1), "BetaOutOfRange"),
         ((2.0, 2.0), (1, 1), "ConstantGame"),  # had a "no start found" failure per sample
     ],
 )
 def test_verify_refuses_invalid_games_before_drawing(family, monkeypatch, betas, sig, code):
-    # as compile_game and leaf_count_bounds do, and before any draw
+    # as compile_game and leaf_count_bounds do, and before any draw; the start
+    # sampler refuses the same games, but draws for a valid constant game
     rep = compile_simple(game(family, (0.0, 2.0), (1, 1)))
+    g = game(family, betas, sig)
 
     def no_draw(*args, **kwargs):
         raise AssertionError("a random generator was made for an invalid game")
 
     monkeypatch.setattr(games, "_draws", no_draw)
     with pytest.raises(InvalidGame) as err:
-        games.verify_book(rep.book, game(family, betas, sig), rep.start_leaf_id, samples=2)
+        games.verify_book(rep.book, g, rep.start_leaf_id, samples=2)
     assert code in codes(err.value.violations)
+    if code != "ConstantGame":
+        with pytest.raises(InvalidGame) as err:
+            admissible_start(rep.book, rep.start_leaf_id, 6.5, 0, g)
+        assert code in codes(err.value.violations)
 
 
 # an invalid game (BetaOutOfRange); verify_book checks the leaf and the
@@ -665,6 +728,34 @@ def test_verification_steps_only_to_the_last_reflection_read(family, monkeypatch
     ]
     assert len(starts) == 6
     assert len(steps) == sum(last_read) < 6 * (4 * need + 8)
+
+
+def test_sample_trace_counts_are_counts(family, monkeypatch):
+    # need 0 returned 34 reflections of a 50-event budget, as did need -1 and
+    # 2.5; now it reads no event, after flow has checked the start
+    rep = compile_simple(game(family, (0.0, 2.0, 3.5), (1, 1, -1)))
+    state = admissible_start(rep.book, rep.start_leaf_id, 6.5, 0, rep.game)
+    real_events = dynamics._events
+    steps = []
+
+    def counted_events(*args):
+        for ev in real_events(*args):
+            steps.append(1)
+            yield ev
+
+    monkeypatch.setattr(dynamics, "_events", counted_events)
+    assert games.sample_trace(rep.book, state, 0, 50) == []
+    assert steps == []
+    with pytest.raises(dynamics.EscapedLeaf):
+        games.sample_trace(rep.book, state._replace(leaf_id=99), 0, 50)
+    with pytest.raises(ValueError, match="^need must be >= 0, got -1$"):
+        games.sample_trace(rep.book, state, -1, 50)
+    with pytest.raises(ValueError, match="^budget must be >= 0, got -1$"):
+        games.sample_trace(rep.book, state, 3, -1)
+    with pytest.raises(TypeError):
+        games.sample_trace(rep.book, state, 2.5, 50)
+    assert steps == []
+    assert len(games.sample_trace(rep.book, state, 3, 50)) == 3
 
 
 def stacked_annuli(family):

@@ -132,6 +132,27 @@ def test_only_games_fixes_a_games_rotation():
     assert callers == []
 
 
+def test_only_a_game_works_out_its_validity():
+    """Whether a game is playable is decided once per game, by its cached
+    ``OrderedGame._violations``; every other check reads that verdict."""
+    callers = []
+    for path in sorted((ROOT / "src" / "billiard_books").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {
+            id(node) for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef) and cls.name == "OrderedGame"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "_violations"
+            for node in ast.walk(fn)
+        }
+        callers += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "validate_game"
+        ]
+    assert callers == []
+
+
 def test_public_names_do_not_grow():
     """The package's public names are the ones ``__init__`` imports.  A change
     that adds one must raise this bound and say why in CHANGES.md; one that
